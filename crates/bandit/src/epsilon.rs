@@ -7,6 +7,7 @@
 
 use crate::policy::BanditPolicy;
 use rand::Rng;
+use serde::{Deserialize, Serialize};
 
 /// ε-greedy over `K` arms with empirical-mean value estimates.
 ///
@@ -26,11 +27,34 @@ use rand::Rng;
 /// let probs = bandit.probabilities();
 /// assert!(probs[2] > probs[0], "greedy mass on the best arm");
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(try_from = "EpsilonGreedyRepr")]
 pub struct EpsilonGreedy {
     epsilon: f64,
     counts: Vec<u64>,
     means: Vec<f64>,
+}
+
+/// [`EpsilonGreedy`]'s checkpoint fields before validation.
+#[derive(Deserialize)]
+struct EpsilonGreedyRepr {
+    epsilon: f64,
+    counts: Vec<u64>,
+    means: Vec<f64>,
+}
+
+impl TryFrom<EpsilonGreedyRepr> for EpsilonGreedy {
+    type Error = &'static str;
+
+    fn try_from(r: EpsilonGreedyRepr) -> Result<Self, Self::Error> {
+        if r.counts.is_empty() || r.counts.len() != r.means.len() {
+            return Err("EpsilonGreedy arm-count mismatch");
+        }
+        if !(0.0..=1.0).contains(&r.epsilon) {
+            return Err("EpsilonGreedy epsilon outside [0, 1]");
+        }
+        Ok(EpsilonGreedy { epsilon: r.epsilon, counts: r.counts, means: r.means })
+    }
 }
 
 impl EpsilonGreedy {
@@ -56,32 +80,6 @@ impl EpsilonGreedy {
             .max_by(|(_, a), (_, b)| a.partial_cmp(b).expect("means are finite"))
             .map(|(i, _)| i)
             .expect("non-empty")
-    }
-}
-
-// Checkpoint serialization.
-impl serde::Serialize for EpsilonGreedy {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("epsilon".to_owned(), serde::Value::Float(self.epsilon)),
-            ("counts".to_owned(), self.counts.to_value()),
-            ("means".to_owned(), self.means.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for EpsilonGreedy {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(entries) = value else {
-            return Err(serde::Error::custom("expected EpsilonGreedy object"));
-        };
-        let epsilon: f64 = serde::__field(entries, "epsilon")?;
-        let counts: Vec<u64> = serde::__field(entries, "counts")?;
-        let means: Vec<f64> = serde::__field(entries, "means")?;
-        if counts.is_empty() || counts.len() != means.len() || !(0.0..=1.0).contains(&epsilon) {
-            return Err(serde::Error::custom("malformed EpsilonGreedy checkpoint"));
-        }
-        Ok(EpsilonGreedy { epsilon, counts, means })
     }
 }
 

@@ -5,8 +5,9 @@
 //! fixed `γ`, weights never reset, so the learner adapts more slowly when
 //! the reward distributions drift between application regions.
 
-use crate::policy::{sample_discrete, BanditPolicy};
+use crate::policy::{check_weights, sample_discrete, BanditPolicy};
 use rand::Rng;
+use serde::{Deserialize, Serialize};
 
 /// Exp3 over `K` arms with fixed exploration rate `γ`.
 ///
@@ -25,10 +26,30 @@ use rand::Rng;
 /// }
 /// assert!(bandit.probabilities()[0] > 0.8);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(try_from = "Exp3Repr")]
 pub struct Exp3 {
     gamma: f64,
     weights: Vec<f64>,
+}
+
+/// [`Exp3`]'s checkpoint fields before validation.
+#[derive(Deserialize)]
+struct Exp3Repr {
+    gamma: f64,
+    weights: Vec<f64>,
+}
+
+impl TryFrom<Exp3Repr> for Exp3 {
+    type Error = &'static str;
+
+    fn try_from(r: Exp3Repr) -> Result<Self, Self::Error> {
+        if !(r.gamma > 0.0 && r.gamma <= 1.0) {
+            return Err("Exp3 gamma outside (0, 1]");
+        }
+        check_weights(&r.weights)?;
+        Ok(Exp3 { gamma: r.gamma, weights: r.weights })
+    }
 }
 
 impl Exp3 {
@@ -62,31 +83,6 @@ impl Exp3 {
                 *w /= max;
             }
         }
-    }
-}
-
-// Checkpoint serialization; see the Exp3.1 notes — finite f64 weights
-// round-trip bit-exactly through the JSON layer.
-impl serde::Serialize for Exp3 {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("gamma".to_owned(), serde::Value::Float(self.gamma)),
-            ("weights".to_owned(), self.weights.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for Exp3 {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(entries) = value else {
-            return Err(serde::Error::custom("expected Exp3 object"));
-        };
-        let gamma: f64 = serde::__field(entries, "gamma")?;
-        let weights: Vec<f64> = serde::__field(entries, "weights")?;
-        if weights.is_empty() || !(gamma > 0.0 && gamma <= 1.0) {
-            return Err(serde::Error::custom("malformed Exp3 checkpoint"));
-        }
-        Ok(Exp3 { gamma, weights })
     }
 }
 

@@ -10,16 +10,23 @@
 //! re-adapt when the reward distributions drift between application regions
 //! (§IV-D).
 
-use crate::policy::{sample_discrete, BanditPolicy};
+use crate::policy::{check_weights, sample_discrete, BanditPolicy};
 use mak_obs::event::Event;
 use mak_obs::sink::SinkHandle;
 use mak_obs::span::Phase;
 use rand::Rng;
+use serde::{Deserialize, Serialize};
 
 /// Exp3.1 over `K` arms. Rewards must lie in `[0, 1]`.
 ///
 /// See the [crate docs](crate) for a usage example.
-#[derive(Debug, Clone)]
+///
+/// Checkpoints carry the learner's whole trajectory — gains, weights,
+/// epoch, step count — exactly (finite f64s survive the JSON writer
+/// bit-for-bit). The sink is observational and restored inert; callers
+/// re-attach one after deserialization.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(try_from = "Exp31Repr")]
 pub struct Exp31 {
     k: usize,
     /// Estimated cumulated gains `Ĝ_i` (importance-weighted).
@@ -36,7 +43,32 @@ pub struct Exp31 {
     skip_epoch_advance: bool,
     /// Observability: receives `PolicyUpdated` / `EpochAdvanced` events.
     /// Inert by default; never influences the learner's state.
+    #[serde(skip)]
     sink: SinkHandle,
+}
+
+/// [`Exp31`]'s checkpoint fields before validation.
+#[derive(Deserialize)]
+struct Exp31Repr {
+    k: usize,
+    g_hat: Vec<f64>,
+    weights: Vec<f64>,
+    epoch: u32,
+    t: u64,
+    skip_epoch_advance: bool,
+}
+
+impl TryFrom<Exp31Repr> for Exp31 {
+    type Error = &'static str;
+
+    fn try_from(r: Exp31Repr) -> Result<Self, Self::Error> {
+        if r.k == 0 || r.g_hat.len() != r.k || r.weights.len() != r.k {
+            return Err("Exp3.1 arm-count mismatch");
+        }
+        check_weights(&r.weights)?;
+        let Exp31Repr { k, g_hat, weights, epoch, t, skip_epoch_advance } = r;
+        Ok(Exp31 { k, g_hat, weights, epoch, t, skip_epoch_advance, sink: SinkHandle::none() })
+    }
 }
 
 impl Exp31 {
@@ -156,49 +188,6 @@ impl Exp31 {
         let gamma = self.gamma();
         let total: f64 = self.weights.iter().sum();
         self.weights.iter().map(|w| (1.0 - gamma) * w / total + gamma / self.k as f64).collect()
-    }
-}
-
-// Checkpoint serialization: the learner's whole trajectory — gains, weights,
-// epoch, step count — round-trips exactly (finite f64s survive the JSON
-// writer bit-for-bit). The sink is observational and restored inert; callers
-// re-attach one after deserialization.
-impl serde::Serialize for Exp31 {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("k".to_owned(), serde::Value::UInt(self.k as u64)),
-            ("g_hat".to_owned(), self.g_hat.to_value()),
-            ("weights".to_owned(), self.weights.to_value()),
-            ("epoch".to_owned(), serde::Value::UInt(u64::from(self.epoch))),
-            ("t".to_owned(), serde::Value::UInt(self.t)),
-            ("skip_epoch_advance".to_owned(), serde::Value::Bool(self.skip_epoch_advance)),
-        ])
-    }
-}
-
-impl serde::Deserialize for Exp31 {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(entries) = value else {
-            return Err(serde::Error::custom("expected Exp31 object"));
-        };
-        let k: usize = serde::__field(entries, "k")?;
-        if k == 0 {
-            return Err(serde::Error::custom("Exp3.1 checkpoint with zero arms"));
-        }
-        let g_hat: Vec<f64> = serde::__field(entries, "g_hat")?;
-        let weights: Vec<f64> = serde::__field(entries, "weights")?;
-        if g_hat.len() != k || weights.len() != k {
-            return Err(serde::Error::custom("Exp3.1 checkpoint arm-count mismatch"));
-        }
-        Ok(Exp31 {
-            k,
-            g_hat,
-            weights,
-            epoch: serde::__field(entries, "epoch")?,
-            t: serde::__field(entries, "t")?,
-            skip_epoch_advance: serde::__field(entries, "skip_epoch_advance")?,
-            sink: SinkHandle::none(),
-        })
     }
 }
 

@@ -45,3 +45,37 @@ pub mod policy;
 pub mod qlearning;
 pub mod thompson;
 pub mod ucb;
+
+#[cfg(test)]
+mod checkpoint_tests {
+    use crate::{epsilon::*, exp3::*, exp31::*, qlearning::*, thompson::*, ucb::*};
+    use serde::{Deserialize, Serialize};
+
+    /// Encodes `value`, replaces `from` with `to` and returns the decode
+    /// error of the corrupted text.
+    fn rejection<T: Serialize + Deserialize>(value: &T, from: &str, to: &str) -> String {
+        let json = serde_json::to_string(value).unwrap();
+        let corrupt = serde_json::from_str::<T>(&json.replacen(from, to, 1));
+        corrupt.err().unwrap_or_else(|| panic!("accepted {to}")).to_string()
+    }
+
+    #[test]
+    fn corrupt_learner_checkpoints_are_rejected() {
+        let cases = [
+            (rejection(&Exp31::new(2), r#""k":2"#, r#""k":3"#), "arm-count"),
+            (rejection(&Exp31::new(2), "[1.0,1.0]", "[0.0,0.0]"), "positive mass"),
+            (rejection(&Exp3::new(2, 0.5), "[1.0,1.0]", "[]"), "positive mass"),
+            (rejection(&Exp3::new(2, 0.5), "0.5", "1.5"), "gamma"),
+            (rejection(&EpsilonGreedy::new(2, 0.1), "[0,0]", "[0]"), "arm-count"),
+            (rejection(&EpsilonGreedy::new(2, 0.1), "0.1", "1.1"), "epsilon"),
+            (rejection(&Ucb1::new(2), "[0,0]", "[]"), "arm-count"),
+            (rejection(&Thompson::new(2), "[1.0,1.0]", "[1.0]"), "arm-count"),
+            (rejection(&Thompson::new(2), "[1.0,1.0]", "[1.0,0.0]"), "positive"),
+            (rejection(&QTable::new(0.5, 0.9, 1.0), "0.5", "0.0"), "alpha"),
+            (rejection(&QTable::new(0.5, 0.9, 1.0), "0.9", "1.0"), "discount"),
+        ];
+        for (err, want) in cases {
+            assert!(err.contains(want), "`{err}` should mention `{want}`");
+        }
+    }
+}

@@ -6,8 +6,10 @@
 //! then squashes `r̂_t ∈ (−∞, ∞)` into Exp3.1's required `[0, 1]` with the
 //! logistic function `1/(1 + e^{−x})`, as in SyzVegas.
 
+use serde::{Deserialize, Serialize};
+
 /// Numerically stable running mean/variance (Welford's algorithm).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RunningStats {
     n: u64,
     mean: f64,
@@ -63,31 +65,6 @@ impl RunningStats {
     }
 }
 
-// Checkpoint serialization. Welford state is three finite f64/u64 scalars,
-// all of which round-trip bit-exactly through the JSON layer.
-impl serde::Serialize for RunningStats {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("n".to_owned(), serde::Value::UInt(self.n)),
-            ("mean".to_owned(), serde::Value::Float(self.mean)),
-            ("m2".to_owned(), serde::Value::Float(self.m2)),
-        ])
-    }
-}
-
-impl serde::Deserialize for RunningStats {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(entries) = value else {
-            return Err(serde::Error::custom("expected RunningStats object"));
-        };
-        Ok(RunningStats {
-            n: serde::__field(entries, "n")?,
-            mean: serde::__field(entries, "mean")?,
-            m2: serde::__field(entries, "m2")?,
-        })
-    }
-}
-
 /// The logistic squash `1/(1 + e^{−x})` (§IV-D).
 pub fn logistic(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
@@ -115,7 +92,7 @@ pub fn logistic(x: f64) -> f64 {
 /// let drought = sr.transform(0.0);
 /// assert!(drought < 0.5, "below-average increment rewards < 0.5");
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct StandardizedReward {
     stats: RunningStats,
 }
@@ -138,19 +115,6 @@ impl StandardizedReward {
     /// The underlying history statistics.
     pub fn stats(&self) -> &RunningStats {
         &self.stats
-    }
-}
-
-// Checkpoint serialization: the transform is just its history statistics.
-impl serde::Serialize for StandardizedReward {
-    fn to_value(&self) -> serde::Value {
-        self.stats.to_value()
-    }
-}
-
-impl serde::Deserialize for StandardizedReward {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(StandardizedReward { stats: RunningStats::from_value(value)? })
     }
 }
 

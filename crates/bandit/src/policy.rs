@@ -47,6 +47,16 @@ pub fn sample_discrete<R: Rng + ?Sized>(rng: &mut R, probs: &[f64]) -> usize {
     probs.len() - 1
 }
 
+/// Checkpoint validation shared by the Exp3 family: restored weights must
+/// be non-negative with positive mass, or [`sample_discrete`] would panic.
+pub(crate) fn check_weights(weights: &[f64]) -> Result<(), &'static str> {
+    if weights.iter().all(|&w| w >= 0.0) && weights.iter().sum::<f64>() > 0.0 {
+        Ok(())
+    } else {
+        Err("policy weights need non-negative entries and positive mass")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,7 +11,8 @@
 //! States and actions are identified by opaque `u64` keys, produced by the
 //! crawlers' state-abstraction and element-signature functions.
 
-use std::collections::HashMap;
+use serde::{Deserialize, Serialize};
+use std::collections::{HashMap, HashSet};
 
 /// A sparse tabular Q-function with optimistic initialization.
 ///
@@ -27,7 +28,8 @@ use std::collections::HashMap;
 /// assert!(q.value(1, 7) < 1.0, "below the optimistic init after a mediocre reward");
 /// assert_eq!(q.best_action(2, &[8, 9]), Some(0), "fresh actions tie at the init");
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(into = "QTableRepr", try_from = "QTableRepr")]
 pub struct QTable {
     q: HashMap<(u64, u64), f64>,
     /// Learning rate α.
@@ -38,7 +40,50 @@ pub struct QTable {
     /// initialization (> 0) makes deterministic arg-max selection try every
     /// fresh action once, which both baselines rely on.
     initial: f64,
-    states: std::collections::HashSet<u64>,
+    states: HashSet<u64>,
+}
+
+/// [`QTable`]'s checkpoint form. The hash map and set are emitted in
+/// sorted key order so the bytes are a pure function of the table's
+/// content, never of insertion history or hasher state.
+#[derive(Serialize, Deserialize)]
+struct QTableRepr {
+    alpha: f64,
+    discount: f64,
+    initial: f64,
+    /// `(state, action, value)` triples.
+    q: Vec<(u64, u64, f64)>,
+    states: Vec<u64>,
+}
+
+impl From<QTable> for QTableRepr {
+    fn from(t: QTable) -> Self {
+        let mut q: Vec<(u64, u64, f64)> = t.q.into_iter().map(|((s, a), v)| (s, a, v)).collect();
+        q.sort_unstable_by_key(|&(s, a, _)| (s, a));
+        let mut states: Vec<u64> = t.states.into_iter().collect();
+        states.sort_unstable();
+        QTableRepr { alpha: t.alpha, discount: t.discount, initial: t.initial, q, states }
+    }
+}
+
+impl TryFrom<QTableRepr> for QTable {
+    type Error = &'static str;
+
+    fn try_from(r: QTableRepr) -> Result<Self, Self::Error> {
+        if !(r.alpha > 0.0 && r.alpha <= 1.0) {
+            return Err("QTable alpha outside (0, 1]");
+        }
+        if !(0.0..1.0).contains(&r.discount) {
+            return Err("QTable discount outside [0, 1)");
+        }
+        Ok(QTable {
+            q: r.q.into_iter().map(|(s, a, v)| ((s, a), v)).collect(),
+            alpha: r.alpha,
+            discount: r.discount,
+            initial: r.initial,
+            states: r.states.into_iter().collect(),
+        })
+    }
 }
 
 impl QTable {
@@ -50,7 +95,7 @@ impl QTable {
     pub fn new(alpha: f64, discount: f64, initial: f64) -> Self {
         assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
         assert!((0.0..1.0).contains(&discount), "discount must be in [0, 1)");
-        QTable { q: HashMap::new(), alpha, discount, initial, states: Default::default() }
+        QTable { q: HashMap::new(), alpha, discount, initial, states: HashSet::new() }
     }
 
     /// The current value of `(state, action)`.
@@ -133,82 +178,6 @@ impl QTable {
     /// Number of stored `(state, action)` entries.
     pub fn entry_count(&self) -> usize {
         self.q.len()
-    }
-}
-
-// Checkpoint serialization. The hash map and set are emitted in sorted key
-// order so the bytes are a pure function of the table's content, never of
-// insertion history or hasher state.
-impl serde::Serialize for QTable {
-    fn to_value(&self) -> serde::Value {
-        let mut entries: Vec<((u64, u64), f64)> = self.q.iter().map(|(&k, &v)| (k, v)).collect();
-        entries.sort_unstable_by_key(|&(k, _)| k);
-        let q: Vec<serde::Value> = entries
-            .into_iter()
-            .map(|((s, a), v)| {
-                serde::Value::Array(vec![
-                    serde::Value::UInt(s),
-                    serde::Value::UInt(a),
-                    serde::Value::Float(v),
-                ])
-            })
-            .collect();
-        let mut states: Vec<u64> = self.states.iter().copied().collect();
-        states.sort_unstable();
-        serde::Value::Object(vec![
-            ("alpha".to_owned(), serde::Value::Float(self.alpha)),
-            ("discount".to_owned(), serde::Value::Float(self.discount)),
-            ("initial".to_owned(), serde::Value::Float(self.initial)),
-            ("q".to_owned(), serde::Value::Array(q)),
-            ("states".to_owned(), states.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for QTable {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(obj) = value else {
-            return Err(serde::Error::custom("expected QTable object"));
-        };
-        let alpha: f64 = serde::__field(obj, "alpha")?;
-        let discount: f64 = serde::__field(obj, "discount")?;
-        if !(alpha > 0.0 && alpha <= 1.0 && (0.0..1.0).contains(&discount)) {
-            return Err(serde::Error::custom("malformed QTable checkpoint"));
-        }
-        let triples: Vec<(u64, u64, f64)> = {
-            let raw = obj
-                .iter()
-                .find(|(k, _)| k == "q")
-                .map(|(_, v)| v)
-                .ok_or_else(|| serde::Error::custom("missing field `q`"))?;
-            let serde::Value::Array(items) = raw else {
-                return Err(serde::Error::custom("expected array for `q`"));
-            };
-            items
-                .iter()
-                .map(|item| {
-                    let serde::Value::Array(parts) = item else {
-                        return Err(serde::Error::custom("expected [s, a, v] triple"));
-                    };
-                    if parts.len() != 3 {
-                        return Err(serde::Error::custom("expected [s, a, v] triple"));
-                    }
-                    Ok((
-                        u64::from_value(&parts[0])?,
-                        u64::from_value(&parts[1])?,
-                        f64::from_value(&parts[2])?,
-                    ))
-                })
-                .collect::<Result<_, _>>()?
-        };
-        let states: Vec<u64> = serde::__field(obj, "states")?;
-        Ok(QTable {
-            q: triples.into_iter().map(|(s, a, v)| ((s, a), v)).collect(),
-            alpha,
-            discount,
-            initial: serde::__field(obj, "initial")?,
-            states: states.into_iter().collect(),
-        })
     }
 }
 

@@ -9,6 +9,7 @@
 
 use crate::policy::BanditPolicy;
 use rand::Rng;
+use serde::{Deserialize, Serialize};
 
 /// Thompson sampling over `K` arms with Beta posteriors.
 ///
@@ -27,10 +28,32 @@ use rand::Rng;
 /// }
 /// assert!(bandit.posterior_mean(0) > bandit.posterior_mean(1));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(try_from = "ThompsonRepr")]
 pub struct Thompson {
     alpha: Vec<f64>,
     beta: Vec<f64>,
+}
+
+/// [`Thompson`]'s checkpoint fields before validation.
+#[derive(Deserialize)]
+struct ThompsonRepr {
+    alpha: Vec<f64>,
+    beta: Vec<f64>,
+}
+
+impl TryFrom<ThompsonRepr> for Thompson {
+    type Error = &'static str;
+
+    fn try_from(r: ThompsonRepr) -> Result<Self, Self::Error> {
+        if r.alpha.is_empty() || r.alpha.len() != r.beta.len() {
+            return Err("Thompson arm-count mismatch");
+        }
+        if !r.alpha.iter().chain(&r.beta).all(|&x| x > 0.0) {
+            return Err("Thompson Beta parameters must be positive");
+        }
+        Ok(Thompson { alpha: r.alpha, beta: r.beta })
+    }
 }
 
 impl Thompson {
@@ -83,30 +106,6 @@ impl Thompson {
                 return d * v;
             }
         }
-    }
-}
-
-// Checkpoint serialization.
-impl serde::Serialize for Thompson {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("alpha".to_owned(), self.alpha.to_value()),
-            ("beta".to_owned(), self.beta.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for Thompson {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(entries) = value else {
-            return Err(serde::Error::custom("expected Thompson object"));
-        };
-        let alpha: Vec<f64> = serde::__field(entries, "alpha")?;
-        let beta: Vec<f64> = serde::__field(entries, "beta")?;
-        if alpha.is_empty() || alpha.len() != beta.len() {
-            return Err(serde::Error::custom("malformed Thompson checkpoint"));
-        }
-        Ok(Thompson { alpha, beta })
     }
 }
 

@@ -6,6 +6,7 @@
 
 use crate::policy::BanditPolicy;
 use rand::Rng;
+use serde::{Deserialize, Serialize};
 
 /// UCB1 over `K` arms.
 ///
@@ -24,11 +25,31 @@ use rand::Rng;
 /// }
 /// assert_eq!(bandit.probabilities(), vec![0.0, 1.0]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(try_from = "Ucb1Repr")]
 pub struct Ucb1 {
     counts: Vec<u64>,
     means: Vec<f64>,
     total: u64,
+}
+
+/// [`Ucb1`]'s checkpoint fields before validation.
+#[derive(Deserialize)]
+struct Ucb1Repr {
+    counts: Vec<u64>,
+    means: Vec<f64>,
+    total: u64,
+}
+
+impl TryFrom<Ucb1Repr> for Ucb1 {
+    type Error = &'static str;
+
+    fn try_from(r: Ucb1Repr) -> Result<Self, Self::Error> {
+        if r.counts.is_empty() || r.counts.len() != r.means.len() {
+            return Err("UCB1 arm-count mismatch");
+        }
+        Ok(Ucb1 { counts: r.counts, means: r.means, total: r.total })
+    }
 }
 
 impl Ucb1 {
@@ -49,31 +70,6 @@ impl Ucb1 {
         }
         let bonus = (2.0 * (self.total.max(1) as f64).ln() / self.counts[arm] as f64).sqrt();
         self.means[arm] + bonus
-    }
-}
-
-// Checkpoint serialization.
-impl serde::Serialize for Ucb1 {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("counts".to_owned(), self.counts.to_value()),
-            ("means".to_owned(), self.means.to_value()),
-            ("total".to_owned(), serde::Value::UInt(self.total)),
-        ])
-    }
-}
-
-impl serde::Deserialize for Ucb1 {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(entries) = value else {
-            return Err(serde::Error::custom("expected Ucb1 object"));
-        };
-        let counts: Vec<u64> = serde::__field(entries, "counts")?;
-        let means: Vec<f64> = serde::__field(entries, "means")?;
-        if counts.is_empty() || counts.len() != means.len() {
-            return Err(serde::Error::custom("malformed Ucb1 checkpoint"));
-        }
-        Ok(Ucb1 { counts, means, total: serde::__field(entries, "total")? })
     }
 }
 

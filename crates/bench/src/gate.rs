@@ -17,9 +17,8 @@
 //! order-of-magnitude slowdown — a lost optimization, not scheduler noise
 //! — trips the gate.
 //!
-//! The vendored serde derives neither attributes nor map types, so every
-//! persisted collection here is a `Vec` of named-field structs sorted on
-//! its natural key.
+//! The vendored serde has no map types, so every persisted collection
+//! here is a `Vec` of named-field structs sorted on its natural key.
 
 use mak::framework::engine::CrawlReport;
 use mak_metrics::regret::{cumulative_regret, AppOutcome};

@@ -18,6 +18,7 @@ use mak_websim::server::{AppHost, HostState};
 use mak_websim::url::Url;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum redirects followed per navigation, as in real browsers.
@@ -541,6 +542,37 @@ impl Browser {
     }
 }
 
+/// The four xoshiro256++ state words of a [`StdRng`]: how every RNG
+/// stream travels in a checkpoint. Resuming from them replays the stream
+/// from exactly where it stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(try_from = "[u64; 4]")]
+pub struct RngWords([u64; 4]);
+
+impl RngWords {
+    /// The current position of `rng`'s stream.
+    pub fn of(rng: &StdRng) -> Self {
+        RngWords(rng.state())
+    }
+
+    /// A generator continuing the captured stream.
+    pub fn rng(self) -> StdRng {
+        StdRng::from_state(self.0)
+    }
+}
+
+impl TryFrom<[u64; 4]> for RngWords {
+    type Error = &'static str;
+
+    fn try_from(words: [u64; 4]) -> Result<Self, Self::Error> {
+        // All-zero is xoshiro's fixed point; `StdRng::from_state` panics on it.
+        if words == [0; 4] {
+            return Err("all-zero RNG state is invalid");
+        }
+        Ok(RngWords(words))
+    }
+}
+
 /// The browser's full mutable state between steps, captured by
 /// [`Browser::snapshot`] and rehydrated by [`Browser::restore`].
 ///
@@ -550,17 +582,15 @@ impl Browser {
 /// (`origin`, `fault_stream_seed`) are recomputed. The observer and sink
 /// are deliberately absent — both are observational attachments the caller
 /// re-installs after restore.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BrowserState {
     /// The session cookie, if the crawl is logged in.
     pub cookie: Option<SessionId>,
-    /// Elapsed virtual milliseconds.
-    pub now_ms: f64,
-    /// The virtual budget in milliseconds.
-    pub budget_ms: f64,
-    /// The cost-model RNG's xoshiro256++ words — resuming replays the
-    /// jitter stream from exactly where it stopped.
-    pub rng: [u64; 4],
+    /// Elapsed virtual time and budget.
+    pub clock: VirtualClock,
+    /// The cost-model RNG's position — resuming replays the jitter stream
+    /// from exactly where it stopped.
+    pub rng: RngWords,
     /// Interactions executed so far (§V-D metric).
     pub interactions: u64,
     /// Monotonic form-fill counter (keeps generated field values unique).
@@ -576,58 +606,6 @@ pub struct BrowserState {
     pub host: HostState,
 }
 
-impl serde::Serialize for BrowserState {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("cookie".to_owned(), self.cookie.to_value()),
-            ("now_ms".to_owned(), serde::Value::Float(self.now_ms)),
-            ("budget_ms".to_owned(), serde::Value::Float(self.budget_ms)),
-            ("rng".to_owned(), self.rng.to_value()),
-            ("interactions".to_owned(), serde::Value::UInt(self.interactions)),
-            ("fill_counter".to_owned(), serde::Value::UInt(self.fill_counter)),
-            ("fault_counter".to_owned(), serde::Value::UInt(self.fault_counter)),
-            ("fault_stats".to_owned(), self.fault_stats.to_value()),
-            ("phase".to_owned(), self.phase.to_value()),
-            ("host".to_owned(), self.host.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for BrowserState {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(entries) = value else {
-            return Err(serde::Error::custom("expected BrowserState object"));
-        };
-        let rng_words: Vec<u64> = serde::__field(entries, "rng")?;
-        let rng: [u64; 4] = rng_words
-            .as_slice()
-            .try_into()
-            .map_err(|_| serde::Error::custom("rng state must be four words"))?;
-        if rng == [0; 4] {
-            return Err(serde::Error::custom("rng state must be non-zero"));
-        }
-        let now_ms: f64 = serde::__field(entries, "now_ms")?;
-        let budget_ms: f64 = serde::__field(entries, "budget_ms")?;
-        // Negated so NaN in either field also fails validation.
-        let clock_ok = budget_ms > 0.0 && now_ms >= 0.0;
-        if !clock_ok {
-            return Err(serde::Error::custom("malformed clock state"));
-        }
-        Ok(BrowserState {
-            cookie: serde::__field(entries, "cookie")?,
-            now_ms,
-            budget_ms,
-            rng,
-            interactions: serde::__field(entries, "interactions")?,
-            fill_counter: serde::__field(entries, "fill_counter")?,
-            fault_counter: serde::__field(entries, "fault_counter")?,
-            fault_stats: serde::__field(entries, "fault_stats")?,
-            phase: serde::__field(entries, "phase")?,
-            host: serde::__field(entries, "host")?,
-        })
-    }
-}
-
 impl Browser {
     /// Captures the full mutable state of this browser and its hosted
     /// application. Call between steps (never mid-request); restoring the
@@ -636,9 +614,8 @@ impl Browser {
     pub fn snapshot(&self) -> BrowserState {
         BrowserState {
             cookie: self.cookie,
-            now_ms: self.clock.elapsed_ms(),
-            budget_ms: self.clock.budget_ms(),
-            rng: self.rng.state(),
+            clock: self.clock.clone(),
+            rng: RngWords::of(&self.rng),
             interactions: self.interactions,
             fill_counter: self.fill_counter,
             fault_counter: self.fault_counter,
@@ -667,9 +644,9 @@ impl Browser {
             host,
             origin,
             cookie: state.cookie,
-            clock: VirtualClock::restore(state.now_ms, state.budget_ms),
+            clock: state.clock.clone(),
             cost,
-            rng: StdRng::from_state(state.rng),
+            rng: state.rng.rng(),
             interactions: state.interactions,
             fill_counter: state.fill_counter,
             observer: None,
@@ -1045,7 +1022,7 @@ mod tests {
             drive(&mut first, 6);
             let json = serde_json::to_string(&first.snapshot()).unwrap();
             let state: BrowserState = serde_json::from_str(&json).unwrap();
-            let host = AppHost::restore_owned(apps::build("phpbb2").unwrap(), &state.host).unwrap();
+            let host = AppHost::restore_owned(apps::build("phpbb2").unwrap(), &state.host);
             let mut resumed = Browser::restore(host, 13, CostModel::default(), plan, &state);
             let got = drive(&mut resumed, 20);
 
@@ -1060,8 +1037,7 @@ mod tests {
         b.navigate(&"http://oscommerce.local/cart".parse().unwrap()).unwrap();
         let state = b.snapshot();
         assert!(state.cookie.is_some(), "logged-in crawl checkpoints its cookie");
-        let host =
-            AppHost::restore_owned(apps::build("oscommerce2").unwrap(), &state.host).unwrap();
+        let host = AppHost::restore_owned(apps::build("oscommerce2").unwrap(), &state.host);
         let mut r = Browser::restore(host, 7, CostModel::default(), FaultPlan::none(), &state);
         r.navigate(&"http://oscommerce.local/cart".parse().unwrap()).unwrap();
         assert_eq!(r.host().session_count(), 1, "the restored browser reuses the same session");
@@ -1069,18 +1045,26 @@ mod tests {
 
     #[test]
     fn corrupt_browser_state_is_rejected_not_panicked() {
-        use serde::{Deserialize as _, Serialize as _};
-        let b = browser("addressbook", 30.0);
-        let good = b.snapshot().to_value();
-        // All-zero rng words would poison xoshiro; must surface as an error.
-        let serde::Value::Object(mut entries) = good else { panic!("object") };
-        for (k, v) in &mut entries {
-            if k == "rng" {
-                *v = vec![0u64; 4].to_value();
-            }
+        let state = serde_json::to_string(&browser("addressbook", 30.0).snapshot()).unwrap();
+        assert!(serde_json::from_str::<BrowserState>(&state).is_ok());
+        let budget = r#""budget_ms":1800000.0"#;
+        assert!(state.contains(budget), "{state}");
+        let zero_budget = state.replacen(budget, r#""budget_ms":0.0"#, 1);
+        let cases = [
+            // All-zero words would poison xoshiro; they must surface as errors.
+            (serde_json::from_str::<RngWords>("[0,0,0,0]").err(), "all-zero"),
+            (serde_json::from_str::<RngWords>("[1,2]").err(), "4-element"),
+            (serde_json::from_str::<RngWords>("[1,2,3,4,5]").err(), "4-element"),
+            (
+                serde_json::from_str::<VirtualClock>(r#"{"now_ms":-1.0,"budget_ms":5.0}"#).err(),
+                "clock",
+            ),
+            (serde_json::from_str::<BrowserState>(&zero_budget).err(), "clock"),
+        ];
+        for (err, want) in cases {
+            let err = err.expect("corrupt state accepted").to_string();
+            assert!(err.contains(want), "`{err}` should mention `{want}`");
         }
-        let err = BrowserState::from_value(&serde::Value::Object(entries));
-        assert!(err.is_err(), "zero rng state must be a deserialize error");
     }
 
     #[test]

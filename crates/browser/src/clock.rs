@@ -8,11 +8,36 @@
 //! exhausted. Efficiency differences between crawlers (§V-D) then surface
 //! as different interaction counts, exactly as in the paper.
 
+use serde::{Deserialize, Serialize};
+
 /// A monotonically advancing virtual clock with a fixed budget.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(try_from = "ClockRepr")]
 pub struct VirtualClock {
     now_ms: f64,
     budget_ms: f64,
+}
+
+/// [`VirtualClock`]'s checkpoint fields before validation.
+#[derive(Deserialize)]
+struct ClockRepr {
+    now_ms: f64,
+    budget_ms: f64,
+}
+
+impl TryFrom<ClockRepr> for VirtualClock {
+    type Error = &'static str;
+
+    /// A checkpointed clock may legitimately sit at or past its budget (a
+    /// session snapshotted on its final step), so unlike
+    /// [`VirtualClock::new`] only the signs are validated.
+    fn try_from(c: ClockRepr) -> Result<Self, Self::Error> {
+        // Negated so NaN in either field also fails validation.
+        if !(c.budget_ms > 0.0 && c.now_ms >= 0.0) {
+            return Err("clock needs a positive budget and non-negative elapsed time");
+        }
+        Ok(VirtualClock { now_ms: c.now_ms, budget_ms: c.budget_ms })
+    }
 }
 
 impl VirtualClock {
@@ -29,16 +54,6 @@ impl VirtualClock {
     /// Creates a clock with a budget in minutes — `30.0` matches the paper.
     pub fn with_budget_minutes(minutes: f64) -> Self {
         Self::new(minutes * 60_000.0)
-    }
-
-    /// Rebuilds a clock mid-flight from checkpointed state. `now_ms` may
-    /// legitimately sit at or past the budget (a session snapshotted on its
-    /// final step), so unlike [`VirtualClock::new`] only the budget is
-    /// validated.
-    pub fn restore(now_ms: f64, budget_ms: f64) -> Self {
-        assert!(budget_ms > 0.0, "budget must be positive");
-        assert!(now_ms >= 0.0, "elapsed time must be non-negative");
-        VirtualClock { now_ms, budget_ms }
     }
 
     /// Advances the clock by `ms` (clamped to non-negative).

@@ -122,7 +122,7 @@ impl RetryPolicy {
 /// rates are per *decision*: each navigation attempt rolls once against
 /// the transient rates, each element execution rolls once against
 /// [`stale_element`](Self::stale_element).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// Probability of a transient 5xx per navigation attempt.
     pub http_5xx: f64,
@@ -243,31 +243,6 @@ impl FaultPlan {
     }
 }
 
-/// `FaultPlan` predates some serialized `EngineConfig`s (cache entries,
-/// fuzz artifacts), so an absent field deserializes to the zero-fault
-/// plan instead of erroring — exactly the behaviour those configs had.
-impl Deserialize for FaultPlan {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let entries =
-            v.as_object().ok_or_else(|| serde::Error::custom("expected FaultPlan object"))?;
-        Ok(FaultPlan {
-            http_5xx: serde::__field(entries, "http_5xx")?,
-            rate_limit: serde::__field(entries, "rate_limit")?,
-            timeout: serde::__field(entries, "timeout")?,
-            connection_reset: serde::__field(entries, "connection_reset")?,
-            session_expiry: serde::__field(entries, "session_expiry")?,
-            stale_element: serde::__field(entries, "stale_element")?,
-            timeout_round_trips: serde::__field(entries, "timeout_round_trips")?,
-            fault_seed: serde::__field(entries, "fault_seed")?,
-            retry: serde::__field(entries, "retry")?,
-        })
-    }
-
-    fn from_missing_field(_field: &str) -> Result<Self, serde::Error> {
-        Ok(FaultPlan::none())
-    }
-}
-
 /// What the fault layer did during one run; recorded in `CrawlReport`.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultStats {
@@ -366,13 +341,11 @@ mod tests {
     }
 
     #[test]
-    fn plan_round_trips_and_missing_field_defaults_to_none() {
+    fn plan_round_trips() {
         let plan = FaultPlan { fault_seed: 3, ..FaultPlan::uniform(0.1) };
         let json = serde_json::to_string(&plan).unwrap();
         let back: FaultPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(back, plan);
-        let absent = FaultPlan::from_missing_field("faults").unwrap();
-        assert_eq!(absent, FaultPlan::none(), "pre-fault configs parse as zero-fault");
     }
 
     #[test]

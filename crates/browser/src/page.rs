@@ -1,8 +1,9 @@
 //! The crawler-visible snapshot of a fetched page.
 
-use mak_websim::dom::{DocShared, Document, Interactable};
+use mak_websim::dom::{DocShared, Document, Interactable, Tag};
 use mak_websim::http::Status;
 use mak_websim::url::Url;
+use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A fetched page: final URL (after redirects), status, and extracted
@@ -12,13 +13,42 @@ use std::sync::Arc;
 /// `Arc<DocShared>`: documents served from a render cache carry a
 /// precomputed one, so snapshotting such a page costs no tree walk and no
 /// per-element clone.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(into = "PageRepr", try_from = "PageRepr")]
 pub struct Page {
     url: Url,
     status: Status,
     title: String,
     document: Option<Document>,
     shared: Arc<DocShared>,
+}
+
+/// A page's checkpoint form: exactly the crawler-visible observables —
+/// URL, status, title, interactables, tag sequence — without the DOM
+/// tree. Restored pages answer every query a crawler makes mid-run
+/// identically, but `document()` is `None` (nothing in the crawl loop
+/// reads it after extraction).
+#[derive(Serialize, Deserialize)]
+struct PageRepr {
+    url: Url,
+    status: Status,
+    title: String,
+    interactables: Vec<Interactable>,
+    tags: Vec<Tag>,
+}
+
+impl From<Page> for PageRepr {
+    fn from(p: Page) -> Self {
+        let (interactables, tags) = (p.shared.interactables().to_vec(), p.shared.tags().to_vec());
+        PageRepr { url: p.url, status: p.status, title: p.title, interactables, tags }
+    }
+}
+
+impl From<PageRepr> for Page {
+    fn from(r: PageRepr) -> Self {
+        let shared = Arc::new(DocShared::from_parts(r.interactables, r.tags));
+        Page { url: r.url, status: r.status, title: r.title, document: None, shared }
+    }
 }
 
 impl Page {
@@ -88,40 +118,6 @@ impl Page {
     /// Whether the page is a navigation error (non-2xx).
     pub fn is_error(&self) -> bool {
         !matches!(self.status, Status::Ok)
-    }
-}
-
-// Checkpoint serialization. A page snapshot persists exactly the
-// crawler-visible observables — URL, status, title, interactables, tag
-// sequence — and drops the DOM tree: restored pages answer every query a
-// crawler makes mid-run identically, but `document()` is `None` (nothing in
-// the crawl loop reads it after extraction).
-impl serde::Serialize for Page {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("url".to_owned(), self.url.to_value()),
-            ("status".to_owned(), self.status.to_value()),
-            ("title".to_owned(), self.title.to_value()),
-            ("interactables".to_owned(), self.shared.interactables().to_value()),
-            ("tags".to_owned(), self.shared.tags().to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for Page {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(entries) = value else {
-            return Err(serde::Error::custom("expected Page object"));
-        };
-        let interactables: Vec<Interactable> = serde::__field(entries, "interactables")?;
-        let tags: Vec<mak_websim::dom::Tag> = serde::__field(entries, "tags")?;
-        Ok(Page {
-            url: serde::__field(entries, "url")?,
-            status: serde::__field(entries, "status")?,
-            title: serde::__field(entries, "title")?,
-            document: None,
-            shared: Arc::new(DocShared::from_parts(interactables, tags)),
-        })
     }
 }
 

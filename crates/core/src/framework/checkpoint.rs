@@ -10,246 +10,194 @@
 //! a pure function of `(app, crawler, seed, config)`) extends to "… from
 //! any checkpoint of that run".
 //!
-//! Checkpoints are plain [`serde::Value`] trees. Everything validates on
-//! deserialization — corrupt payloads produce [`serde::Error`]s, never
-//! panics — because the serving layer feeds them from disk files it does
-//! not trust (see `mak-serve`'s `checkpoint` module for the CRC-guarded
-//! store).
+//! Checkpoints are typed all the way down: every component derives its
+//! serde encoding, and each invariant a decoded component must satisfy
+//! lives in one `try_from` on the type that owns it. Corrupt payloads
+//! therefore fail at decode with a [`serde::Error`], never a panic — the
+//! serving layer feeds them from disk files it does not trust (see
+//! `mak-serve`'s `checkpoint` module for the CRC-guarded store). Since the
+//! schema is the sum of those encodings, changing any of them means
+//! bumping [`CHECKPOINT_VERSION`].
 
 use crate::framework::engine::{CoverageSample, EngineConfig, TraceEntry};
+use crate::framework::linklog::LinkLog;
+use crate::mak::deque::LeveledDeque;
+use crate::mak::policy::ArmPolicy;
+use crate::qexplore::QExploreState;
+use crate::webexplor::WebExplorState;
+use mak_bandit::exp31::Exp31;
+use mak_bandit::normalize::StandardizedReward;
+use mak_bandit::qlearning::QTable;
+use mak_browser::client::{BrowserState, RngWords};
+use mak_browser::page::Page;
+use serde::{Deserialize, Serialize};
 
-/// On-disk/OTW schema version of [`SessionCheckpoint`]. Bump on any layout
-/// change; restore rejects mismatching versions instead of guessing.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Schema version of [`SessionCheckpoint`]. Bump on any layout change.
+/// Version 1 carried untyped crawler payloads; it is refused, not
+/// migrated.
+pub const CHECKPOINT_VERSION: u32 = 2;
+
+/// A checkpoint's version stamp. It decodes only as [`CHECKPOINT_VERSION`]
+/// and is the first field of [`SessionCheckpoint`], so a payload of
+/// another version is refused — naming its version — before any of its
+/// layout is read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(try_from = "u32")]
+pub struct CheckpointVersion(u32);
+
+impl CheckpointVersion {
+    /// The version this build writes.
+    pub const CURRENT: CheckpointVersion = CheckpointVersion(CHECKPOINT_VERSION);
+}
+
+impl TryFrom<u32> for CheckpointVersion {
+    type Error = String;
+
+    fn try_from(version: u32) -> Result<Self, String> {
+        if version != CHECKPOINT_VERSION {
+            return Err(format!(
+                "unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})"
+            ));
+        }
+        Ok(CheckpointVersion::CURRENT)
+    }
+}
 
 /// The mutable state of one crawler, tagged by family.
 ///
 /// The six registry crawlers map onto three variants: `mak`, `bfs`, `dfs`,
 /// `random`, and every `mak-*` ablation variant are [`CrawlerState::Mak`]
 /// (the static baselines are MAK with a pinned arm); `webexplor` and
-/// `qexplore` are [`CrawlerState::Q`] distinguished by their state
-/// abstraction's `kind`; `mak-ensemble<N>` is [`CrawlerState::Ensemble`].
-///
-/// Sub-states are pre-serialized [`serde::Value`] payloads: only the type
-/// that produced a payload knows how to validate it, and keeping the enum
-/// payload-agnostic means a new learner needs no checkpoint-schema change.
-#[derive(Debug, Clone, PartialEq)]
+/// `qexplore` are [`CrawlerState::Q`] distinguished by their
+/// [`StateTable`]; `mak-ensemble<N>` is [`CrawlerState::Ensemble`].
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum CrawlerState {
     /// [`MakCrawler`](crate::mak::MakCrawler) in any configuration.
     Mak(MakState),
     /// [`EnsembleCrawler`](crate::mak::EnsembleCrawler).
     Ensemble(EnsembleState),
     /// A [`QCrawler`](crate::framework::qcrawler::QCrawler) (WebExplor or
-    /// QExplore, per [`QState::abstraction`]).
-    Q(QState),
+    /// QExplore, per [`QState::states`]).
+    Q(Box<QState>),
 }
 
 /// Mutable state of a [`MakCrawler`](crate::mak::MakCrawler).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MakState {
-    /// The arm policy (tagged by name, hyper-parameters included).
-    pub policy: serde::Value,
+    /// The arm policy (hyper-parameters included).
+    pub policy: ArmPolicy,
     /// The reward standardizer's running statistics.
-    pub reward: serde::Value,
+    pub reward: StandardizedReward,
     /// The leveled element pool.
-    pub deque: serde::Value,
+    pub deque: LeveledDeque,
     /// The link log (URLs in insertion order).
-    pub links: serde::Value,
-    /// xoshiro256++ words of the crawler's RNG stream.
-    pub rng: Vec<u64>,
+    pub links: LinkLog,
+    /// The crawler's RNG stream position.
+    pub rng: RngWords,
     /// Whether the seed page has been ingested.
     pub started: bool,
 }
 
 /// Mutable state of an [`EnsembleCrawler`](crate::mak::EnsembleCrawler).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(try_from = "EnsembleRepr")]
 pub struct EnsembleState {
-    /// Per-agent Exp3.1 learner states, in round-robin order.
-    pub policies: Vec<serde::Value>,
+    /// Per-agent Exp3.1 learners, in round-robin order.
+    pub policies: Vec<Exp31>,
     /// Per-agent reward standardizers, aligned with `policies`.
-    pub rewards: Vec<serde::Value>,
+    pub rewards: Vec<StandardizedReward>,
     /// The agent whose turn is next.
     pub next_agent: u64,
     /// The shared leveled element pool.
-    pub deque: serde::Value,
+    pub deque: LeveledDeque,
     /// The shared link log.
-    pub links: serde::Value,
-    /// xoshiro256++ words of the shared RNG stream.
-    pub rng: Vec<u64>,
+    pub links: LinkLog,
+    /// The shared RNG stream position.
+    pub rng: RngWords,
     /// Whether the seed page has been ingested.
     pub started: bool,
 }
 
+/// [`EnsembleState`]'s fields before validation.
+#[derive(Deserialize)]
+struct EnsembleRepr {
+    policies: Vec<Exp31>,
+    rewards: Vec<StandardizedReward>,
+    next_agent: u64,
+    deque: LeveledDeque,
+    links: LinkLog,
+    rng: RngWords,
+    started: bool,
+}
+
+impl TryFrom<EnsembleRepr> for EnsembleState {
+    type Error = &'static str;
+
+    fn try_from(r: EnsembleRepr) -> Result<Self, Self::Error> {
+        if r.policies.is_empty() || r.policies.len() != r.rewards.len() {
+            return Err("ensemble needs one reward standardizer per agent, and an agent");
+        }
+        if r.next_agent >= r.policies.len() as u64 {
+            return Err("ensemble next_agent out of range");
+        }
+        let EnsembleRepr { policies, rewards, next_agent, deque, links, rng, started } = r;
+        Ok(EnsembleState { policies, rewards, next_agent, deque, links, rng, started })
+    }
+}
+
+/// A Q-crawler's state-abstraction table, tagged by abstraction: a
+/// restore refuses a table produced by a different abstraction.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub enum StateTable {
+    /// WebExplor's URL + tag-sequence states.
+    WebExplor(WebExplorState),
+    /// QExplore's attribute-hash states.
+    QExplore(QExploreState),
+}
+
 /// Mutable state of a [`QCrawler`](crate::framework::qcrawler::QCrawler).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(try_from = "QStateRepr")]
 pub struct QState {
-    /// The state abstraction's kind tag (`"webexplor"` / `"qexplore"`);
-    /// restore refuses a payload produced by a different abstraction.
-    pub abstraction: String,
-    /// The state abstraction's own serialized table.
-    pub states: serde::Value,
+    /// The state abstraction's table.
+    pub states: StateTable,
     /// The Q-table (hyper-parameters included).
-    pub q: serde::Value,
+    pub q: QTable,
     /// `(state, action, visits)` triples, sorted by `(state, action)`.
     pub visit_counts: Vec<(u64, u64, u64)>,
     /// The link log.
-    pub links: serde::Value,
-    /// xoshiro256++ words of the crawler's RNG stream.
-    pub rng: Vec<u64>,
+    pub links: LinkLog,
+    /// The crawler's RNG stream position.
+    pub rng: RngWords,
     /// The trajectory position: `(state id, page)`; `None` when the next
     /// step restarts from the seed.
-    pub current: Option<(u64, serde::Value)>,
+    pub current: Option<(u64, Page)>,
     /// Seed restarts performed so far.
     pub restarts: u64,
 }
 
-fn rng_field(rng: &serde::Value) -> Result<Vec<u64>, serde::Error> {
-    let words: Vec<u64> = serde::Deserialize::from_value(rng)?;
-    if words.len() != 4 {
-        return Err(serde::Error::custom(format!("expected 4 RNG words, got {}", words.len())));
-    }
-    if words.iter().all(|&w| w == 0) {
-        return Err(serde::Error::custom("all-zero RNG state is invalid"));
-    }
-    Ok(words)
+/// [`QState`]'s fields before validation.
+#[derive(Deserialize)]
+struct QStateRepr {
+    states: StateTable,
+    q: QTable,
+    visit_counts: Vec<(u64, u64, u64)>,
+    links: LinkLog,
+    rng: RngWords,
+    current: Option<(u64, Page)>,
+    restarts: u64,
 }
 
-impl serde::Serialize for MakState {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("policy".to_owned(), self.policy.clone()),
-            ("reward".to_owned(), self.reward.clone()),
-            ("deque".to_owned(), self.deque.clone()),
-            ("links".to_owned(), self.links.clone()),
-            ("rng".to_owned(), self.rng.to_value()),
-            ("started".to_owned(), self.started.to_value()),
-        ])
-    }
-}
+impl TryFrom<QStateRepr> for QState {
+    type Error = &'static str;
 
-impl serde::Deserialize for MakState {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let entries =
-            v.as_object().ok_or_else(|| serde::Error::custom("expected MakState object"))?;
-        Ok(MakState {
-            policy: serde::__field(entries, "policy")?,
-            reward: serde::__field(entries, "reward")?,
-            deque: serde::__field(entries, "deque")?,
-            links: serde::__field(entries, "links")?,
-            rng: rng_field(
-                v.get("rng").ok_or_else(|| serde::Error::custom("missing field `rng`"))?,
-            )?,
-            started: serde::__field(entries, "started")?,
-        })
-    }
-}
-
-impl serde::Serialize for EnsembleState {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("policies".to_owned(), self.policies.to_value()),
-            ("rewards".to_owned(), self.rewards.to_value()),
-            ("next_agent".to_owned(), self.next_agent.to_value()),
-            ("deque".to_owned(), self.deque.clone()),
-            ("links".to_owned(), self.links.clone()),
-            ("rng".to_owned(), self.rng.to_value()),
-            ("started".to_owned(), self.started.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for EnsembleState {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let entries =
-            v.as_object().ok_or_else(|| serde::Error::custom("expected EnsembleState object"))?;
-        let state = EnsembleState {
-            policies: serde::__field(entries, "policies")?,
-            rewards: serde::__field(entries, "rewards")?,
-            next_agent: serde::__field(entries, "next_agent")?,
-            deque: serde::__field(entries, "deque")?,
-            links: serde::__field(entries, "links")?,
-            rng: rng_field(
-                v.get("rng").ok_or_else(|| serde::Error::custom("missing field `rng`"))?,
-            )?,
-            started: serde::__field(entries, "started")?,
-        };
-        if state.policies.is_empty() {
-            return Err(serde::Error::custom("ensemble needs at least one agent"));
+    fn try_from(r: QStateRepr) -> Result<Self, Self::Error> {
+        // Strictly increasing keys: sorted, and no pair counted twice.
+        if r.visit_counts.windows(2).any(|w| (w[1].0, w[1].1) <= (w[0].0, w[0].1)) {
+            return Err("visit_counts not sorted by (state, action)");
         }
-        if state.policies.len() != state.rewards.len() {
-            return Err(serde::Error::custom("policies/rewards length mismatch"));
-        }
-        if state.next_agent as usize >= state.policies.len() {
-            return Err(serde::Error::custom("next_agent out of range"));
-        }
-        Ok(state)
-    }
-}
-
-impl serde::Serialize for QState {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("abstraction".to_owned(), self.abstraction.to_value()),
-            ("states".to_owned(), self.states.clone()),
-            ("q".to_owned(), self.q.clone()),
-            ("visit_counts".to_owned(), self.visit_counts.to_value()),
-            ("links".to_owned(), self.links.clone()),
-            ("rng".to_owned(), self.rng.to_value()),
-            ("current".to_owned(), self.current.to_value()),
-            ("restarts".to_owned(), self.restarts.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for QState {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let entries =
-            v.as_object().ok_or_else(|| serde::Error::custom("expected QState object"))?;
-        let visit_counts: Vec<(u64, u64, u64)> = serde::__field(entries, "visit_counts")?;
-        for w in visit_counts.windows(2) {
-            if (w[1].0, w[1].1) <= (w[0].0, w[0].1) {
-                return Err(serde::Error::custom("visit_counts not sorted by (state, action)"));
-            }
-        }
-        Ok(QState {
-            abstraction: serde::__field(entries, "abstraction")?,
-            states: serde::__field(entries, "states")?,
-            q: serde::__field(entries, "q")?,
-            visit_counts,
-            links: serde::__field(entries, "links")?,
-            rng: rng_field(
-                v.get("rng").ok_or_else(|| serde::Error::custom("missing field `rng`"))?,
-            )?,
-            current: serde::__field(entries, "current")?,
-            restarts: serde::__field(entries, "restarts")?,
-        })
-    }
-}
-
-impl serde::Serialize for CrawlerState {
-    fn to_value(&self) -> serde::Value {
-        let (tag, payload) = match self {
-            CrawlerState::Mak(s) => ("mak", s.to_value()),
-            CrawlerState::Ensemble(s) => ("ensemble", s.to_value()),
-            CrawlerState::Q(s) => ("q", s.to_value()),
-        };
-        serde::Value::Object(vec![(tag.to_owned(), payload)])
-    }
-}
-
-impl serde::Deserialize for CrawlerState {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let entries =
-            v.as_object().ok_or_else(|| serde::Error::custom("expected CrawlerState object"))?;
-        let [(tag, payload)] = entries else {
-            return Err(serde::Error::custom("expected single-variant CrawlerState object"));
-        };
-        Ok(match tag.as_str() {
-            "mak" => CrawlerState::Mak(MakState::from_value(payload)?),
-            "ensemble" => CrawlerState::Ensemble(EnsembleState::from_value(payload)?),
-            "q" => CrawlerState::Q(QState::from_value(payload)?),
-            other => return Err(serde::Error::custom(format!("unknown crawler state `{other}`"))),
-        })
+        let QStateRepr { states, q, visit_counts, links, rng, current, restarts } = r;
+        Ok(QState { states, q, visit_counts, links, rng, current, restarts })
     }
 }
 
@@ -261,10 +209,11 @@ impl serde::Deserialize for CrawlerState {
 /// [`EngineConfig`] makes the checkpoint self-describing — restoring needs
 /// only the application model (by the recorded `app` name) and a fresh
 /// crawler of the recorded `crawler` name.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(try_from = "SessionCheckpointRepr")]
 pub struct SessionCheckpoint {
     /// Schema version ([`CHECKPOINT_VERSION`] at write time).
-    pub version: u32,
+    pub version: CheckpointVersion,
     /// Application name (registry key or generated-app label).
     pub app: String,
     /// Crawler name (a [`crate::spec::build_crawler`] key).
@@ -284,7 +233,7 @@ pub struct SessionCheckpoint {
     /// Per-step trace collected so far (empty unless `config.record_trace`).
     pub trace: Vec<TraceEntry>,
     /// Browser-side state (clock, RNG, cookie, fault stream, host).
-    pub browser: serde::Value,
+    pub browser: BrowserState,
     /// The crawler's learning state.
     pub crawler_state: CrawlerState,
     /// Span allocator `(next_id, now_ms)` when the interrupted run had
@@ -293,176 +242,138 @@ pub struct SessionCheckpoint {
     pub spans: Option<(u64, f64)>,
 }
 
-impl serde::Serialize for SessionCheckpoint {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("version".to_owned(), self.version.to_value()),
-            ("app".to_owned(), self.app.to_value()),
-            ("crawler".to_owned(), self.crawler.to_value()),
-            ("seed".to_owned(), self.seed.to_value()),
-            ("config".to_owned(), self.config.to_value()),
-            ("step_index".to_owned(), self.step_index.to_value()),
-            ("done".to_owned(), self.done.to_value()),
-            ("next_sample".to_owned(), self.next_sample.to_value()),
-            ("series".to_owned(), self.series.to_value()),
-            ("trace".to_owned(), self.trace.to_value()),
-            ("browser".to_owned(), self.browser.clone()),
-            ("crawler_state".to_owned(), self.crawler_state.to_value()),
-            ("spans".to_owned(), self.spans.to_value()),
-        ])
-    }
+/// [`SessionCheckpoint`]'s fields before validation.
+#[derive(Deserialize)]
+struct SessionCheckpointRepr {
+    version: CheckpointVersion,
+    app: String,
+    crawler: String,
+    seed: u64,
+    config: EngineConfig,
+    step_index: u64,
+    done: bool,
+    next_sample: f64,
+    series: Vec<CoverageSample>,
+    trace: Vec<TraceEntry>,
+    browser: BrowserState,
+    crawler_state: CrawlerState,
+    spans: Option<(u64, f64)>,
 }
 
-impl serde::Deserialize for SessionCheckpoint {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("expected SessionCheckpoint object"))?;
-        let version: u32 = serde::__field(entries, "version")?;
-        if version != CHECKPOINT_VERSION {
-            return Err(serde::Error::custom(format!(
-                "unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})"
-            )));
+impl TryFrom<SessionCheckpointRepr> for SessionCheckpoint {
+    type Error = &'static str;
+
+    fn try_from(r: SessionCheckpointRepr) -> Result<Self, Self::Error> {
+        if !(r.next_sample.is_finite() && r.next_sample >= 0.0) {
+            return Err("next_sample must be a finite non-negative time");
         }
-        let checkpoint = SessionCheckpoint {
-            version,
-            app: serde::__field(entries, "app")?,
-            crawler: serde::__field(entries, "crawler")?,
-            seed: serde::__field(entries, "seed")?,
-            config: serde::__field(entries, "config")?,
-            step_index: serde::__field(entries, "step_index")?,
-            done: serde::__field(entries, "done")?,
-            next_sample: serde::__field(entries, "next_sample")?,
-            series: serde::__field(entries, "series")?,
-            trace: serde::__field(entries, "trace")?,
-            browser: serde::__field(entries, "browser")?,
-            crawler_state: serde::__field(entries, "crawler_state")?,
-            spans: serde::__field(entries, "spans")?,
-        };
-        if !checkpoint.next_sample.is_finite() || checkpoint.next_sample < 0.0 {
-            return Err(serde::Error::custom("next_sample must be a finite non-negative time"));
+        // A non-positive sampling interval would never advance the
+        // sample boundary past the clock.
+        if !(r.config.budget_minutes > 0.0 && r.config.sample_interval_secs > 0.0) {
+            return Err("checkpointed config has a non-positive budget or sample interval");
         }
-        if checkpoint.config.budget_minutes <= 0.0 || checkpoint.config.sample_interval_secs <= 0.0
-        {
-            return Err(serde::Error::custom("checkpointed config has non-positive budget"));
-        }
-        Ok(checkpoint)
+        Ok(SessionCheckpoint {
+            version: r.version,
+            app: r.app,
+            crawler: r.crawler,
+            seed: r.seed,
+            config: r.config,
+            step_index: r.step_index,
+            done: r.done,
+            next_sample: r.next_sample,
+            series: r.series,
+            trace: r.trace,
+            browser: r.browser,
+            crawler_state: r.crawler_state,
+            spans: r.spans,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::{Deserialize as _, Serialize as _};
+    use crate::framework::qcrawler::StateAbstraction;
+    use crate::framework::session::Session;
+    use crate::spec::build_crawler;
+    use mak_websim::apps;
 
-    fn mak_state() -> CrawlerState {
-        CrawlerState::Mak(MakState {
-            policy: serde::Value::Object(vec![("uniform".to_owned(), serde::Value::Null)]),
-            reward: serde::Value::Null,
-            deque: serde::Value::Null,
-            links: serde::Value::Array(vec![]),
-            rng: vec![1, 2, 3, 4],
-            started: false,
-        })
+    /// A checkpoint of `crawler` on phpbb2 after a few steps.
+    fn checkpoint(crawler: &str) -> SessionCheckpoint {
+        let cfg = EngineConfig::with_budget_minutes(1.0);
+        let app = apps::build("phpbb2").unwrap();
+        let mut session = Session::new(app, build_crawler(crawler, 3).unwrap(), &cfg, 3);
+        for _ in 0..6 {
+            session.step();
+        }
+        session.snapshot().unwrap()
+    }
+
+    /// Decodes `json` as a `T`, returning the error.
+    fn decode_err<T: Deserialize>(json: &str) -> String {
+        serde_json::from_str::<T>(json).err().expect("corrupt state accepted").to_string()
+    }
+
+    /// Encodes a (corrupted) checkpoint and returns its decode error.
+    fn reencode_err(checkpoint: SessionCheckpoint) -> String {
+        decode_err::<SessionCheckpoint>(&serde_json::to_string(&checkpoint).unwrap())
     }
 
     #[test]
-    fn crawler_state_round_trips() {
-        for state in [
-            mak_state(),
-            CrawlerState::Ensemble(EnsembleState {
-                policies: vec![serde::Value::Null, serde::Value::Null],
-                rewards: vec![serde::Value::Null, serde::Value::Null],
-                next_agent: 1,
-                deque: serde::Value::Null,
-                links: serde::Value::Null,
-                rng: vec![9, 0, 0, 1],
-                started: true,
-            }),
-            CrawlerState::Q(QState {
-                abstraction: "webexplor".to_owned(),
-                states: serde::Value::Array(vec![]),
-                q: serde::Value::Null,
-                visit_counts: vec![(0, 1, 2), (0, 2, 1), (3, 0, 5)],
-                links: serde::Value::Null,
-                rng: vec![5, 6, 7, 8],
-                current: None,
-                restarts: 2,
-            }),
-        ] {
-            let back = CrawlerState::from_value(&state.to_value()).unwrap();
-            assert_eq!(back, state);
-        }
-    }
-
-    #[test]
-    fn corrupt_crawler_states_error_instead_of_panicking() {
-        // All-zero RNG words would panic inside StdRng::from_state if they
-        // reached it; the deserializer must reject them first.
-        let mut zero_rng = mak_state();
-        if let CrawlerState::Mak(s) = &mut zero_rng {
-            s.rng = vec![0, 0, 0, 0];
-        }
-        assert!(CrawlerState::from_value(&zero_rng.to_value()).is_err());
-
-        let mut short_rng = mak_state();
-        if let CrawlerState::Mak(s) = &mut short_rng {
-            s.rng = vec![1, 2];
-        }
-        assert!(CrawlerState::from_value(&short_rng.to_value()).is_err());
-
-        let unknown = serde::Value::Object(vec![("gpt".to_owned(), serde::Value::Null)]);
-        assert!(CrawlerState::from_value(&unknown).is_err());
-
-        let unsorted = CrawlerState::Q(QState {
-            abstraction: "qexplore".to_owned(),
-            states: serde::Value::Null,
-            q: serde::Value::Null,
-            visit_counts: vec![(3, 0, 5), (0, 1, 2)],
-            links: serde::Value::Null,
-            rng: vec![5, 6, 7, 8],
-            current: None,
-            restarts: 0,
-        });
-        assert!(CrawlerState::from_value(&unsorted.to_value()).is_err());
-
-        let empty_ensemble = CrawlerState::Ensemble(EnsembleState {
-            policies: vec![],
-            rewards: vec![],
-            next_agent: 0,
-            deque: serde::Value::Null,
-            links: serde::Value::Null,
-            rng: vec![1, 0, 0, 0],
-            started: false,
-        });
-        assert!(CrawlerState::from_value(&empty_ensemble.to_value()).is_err());
-    }
-
-    #[test]
-    fn session_checkpoint_rejects_future_versions() {
-        let checkpoint = SessionCheckpoint {
-            version: CHECKPOINT_VERSION,
-            app: "vanilla".to_owned(),
-            crawler: "mak".to_owned(),
-            seed: 7,
-            config: EngineConfig::with_budget_minutes(1.0),
-            step_index: 12,
-            done: false,
-            next_sample: 30.0,
-            series: vec![CoverageSample { secs: 0.0, lines: 3 }],
-            trace: vec![],
-            browser: serde::Value::Null,
-            crawler_state: mak_state(),
-            spans: Some((41, 6_000.0)),
+    fn corrupt_checkpoints_are_rejected() {
+        let mak = checkpoint("mak");
+        let mak_json = serde_json::to_string(&mak).unwrap();
+        let with = |edit: fn(&mut SessionCheckpoint)| {
+            let mut corrupt = mak.clone();
+            edit(&mut corrupt);
+            corrupt
         };
-        let ok = SessionCheckpoint::from_value(&checkpoint.to_value()).unwrap();
-        assert_eq!(ok, checkpoint);
-
-        let mut future = checkpoint.to_value();
-        if let serde::Value::Object(entries) = &mut future {
-            entries[0].1 = serde::Value::UInt(u64::from(CHECKPOINT_VERSION) + 1);
+        let ensemble = |edit: fn(&mut EnsembleState)| {
+            let mut corrupt = checkpoint("mak-ensemble2");
+            let CrawlerState::Ensemble(state) = &mut corrupt.crawler_state else { panic!() };
+            edit(state);
+            reencode_err(corrupt)
+        };
+        let mut unsorted = checkpoint("webexplor");
+        let CrawlerState::Q(q) = &mut unsorted.crawler_state else { panic!() };
+        assert!(q.visit_counts.len() > 1);
+        q.visit_counts.reverse();
+        let pooled = r#"{"levels":[[{"Link":{"href":"http://h/a","text":""}}]],"known":[]}"#;
+        let cases = [
+            (decode_err::<SessionCheckpoint>(&mak_json.replacen(":2,", ":1,", 1)), "version 1"),
+            (reencode_err(with(|c| c.next_sample = -1.0)), "next_sample"),
+            (reencode_err(with(|c| c.config.sample_interval_secs = 0.0)), "sample interval"),
+            (ensemble(|s| s.rewards.clear()), "per agent"),
+            (ensemble(|s| s.next_agent = 2), "next_agent"),
+            (reencode_err(unsorted), "visit_counts"),
+            (decode_err::<LeveledDeque>(pooled), "missing from the dedup interner"),
+            (decode_err::<LinkLog>(r#"["http://h/a","http://h/a"]"#), "twice"),
+            (decode_err::<LeveledDeque>(r#"{"levels":[],"known":["a","a"]}"#), "twice"),
+            (decode_err::<QExploreState>("[[7,0],[9,2]]"), "dense"),
+            (decode_err::<QExploreState>("[[7,0],[7,1]]"), "duplicate hash"),
+            (decode_err::<ArmPolicy>(r#"{"Exp4":null}"#), "no matching variant"),
+        ];
+        for (err, want) in cases {
+            assert!(err.contains(want), "`{err}` should mention `{want}`");
         }
-        let err = SessionCheckpoint::from_value(&future).unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
+    }
+
+    #[test]
+    fn restores_refuse_states_of_another_shape() {
+        let mut three_arms = checkpoint("mak");
+        let CrawlerState::Mak(state) = &mut three_arms.crawler_state else { panic!() };
+        state.policy = ArmPolicy::exp31(2);
+        let app = apps::build("phpbb2").unwrap();
+        let err = Session::restore_owned(
+            app,
+            build_crawler("mak", 3).unwrap(),
+            &three_arms,
+            Default::default(),
+        );
+        assert!(err.err().unwrap().to_string().contains("three arms"));
+
+        let table = WebExplorState::new().snapshot_table();
+        let err = QExploreState::new().restore_table(&table).unwrap_err();
+        assert!(err.to_string().contains("non-QExplore"), "{err}");
     }
 }

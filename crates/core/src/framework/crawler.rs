@@ -106,9 +106,9 @@ pub trait Crawler: Send + Sync {
     ///
     /// # Errors
     ///
-    /// When `state` is the wrong variant for this crawler or its payload
-    /// is malformed; the crawler is left unusable and must be discarded.
-    /// Never panics on corrupt input.
+    /// When `state` is the wrong variant for this crawler or does not fit
+    /// its configuration (agent count, arm count, state abstraction); the
+    /// crawler is left unusable and must be discarded. Never panics.
     fn restore_state(&mut self, state: &CrawlerState) -> Result<(), serde::Error> {
         let _ = state;
         Err(serde::Error::custom(format!(

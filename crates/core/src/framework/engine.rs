@@ -32,7 +32,10 @@ pub struct EngineConfig {
     pub record_trace: bool,
     /// The deterministic fault schedule (default: no faults). Part of
     /// the config — and therefore of the run-cache key — so a faulty run
-    /// can never be served from a clean run's cache entry.
+    /// can never be served from a clean run's cache entry. Configs
+    /// serialized before the fault layer existed lack it and parse as
+    /// fault-free.
+    #[serde(default)]
     pub faults: FaultPlan,
 }
 
@@ -77,12 +80,11 @@ pub struct CoverageSample {
 
 /// The measurable outcome of one crawl run.
 ///
-/// Serde impls are manual (matching the derive's field order exactly):
-/// the `faults` field is emitted only when a fault actually fired, and
+/// The `faults` field is emitted only when a fault actually fired, and
 /// the `phase` breakdown only when non-empty, so degenerate reports —
 /// and anything written before either field existed — keep their prior
 /// byte layout and still parse.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CrawlReport {
     /// Crawler identifier.
     pub crawler: String,
@@ -111,68 +113,16 @@ pub struct CrawlReport {
     /// Per-step trace, populated only under [`EngineConfig::record_trace`].
     pub trace: Vec<TraceEntry>,
     /// Fault/retry/recovery counts (all zeros without a fault plan).
+    #[serde(default, skip_serializing_if = "is_default")]
     pub faults: FaultStats,
     /// Where the virtual time went: per-phase totals partitioning
     /// `elapsed_secs` exactly (see `mak_obs::span::PhaseTotals`).
+    #[serde(default, skip_serializing_if = "is_default")]
     pub phase: PhaseTotals,
 }
 
-impl Serialize for CrawlReport {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("crawler".to_owned(), self.crawler.to_value()),
-            ("app".to_owned(), self.app.to_value()),
-            ("seed".to_owned(), self.seed.to_value()),
-            ("interactions".to_owned(), self.interactions.to_value()),
-            ("final_lines_covered".to_owned(), self.final_lines_covered.to_value()),
-            ("total_declared_lines".to_owned(), self.total_declared_lines.to_value()),
-            ("coverage_series".to_owned(), self.coverage_series.to_value()),
-            ("covered_lines".to_owned(), self.covered_lines.to_value()),
-            ("distinct_urls".to_owned(), self.distinct_urls.to_value()),
-            ("state_count".to_owned(), self.state_count.to_value()),
-            ("elapsed_secs".to_owned(), self.elapsed_secs.to_value()),
-            ("trace".to_owned(), self.trace.to_value()),
-        ];
-        if self.faults != FaultStats::default() {
-            fields.push(("faults".to_owned(), self.faults.to_value()));
-        }
-        if self.phase != PhaseTotals::default() {
-            fields.push(("phase".to_owned(), self.phase.to_value()));
-        }
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for CrawlReport {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let entries =
-            v.as_object().ok_or_else(|| serde::Error::custom("expected CrawlReport object"))?;
-        Ok(CrawlReport {
-            crawler: serde::__field(entries, "crawler")?,
-            app: serde::__field(entries, "app")?,
-            seed: serde::__field(entries, "seed")?,
-            interactions: serde::__field(entries, "interactions")?,
-            final_lines_covered: serde::__field(entries, "final_lines_covered")?,
-            total_declared_lines: serde::__field(entries, "total_declared_lines")?,
-            coverage_series: serde::__field(entries, "coverage_series")?,
-            covered_lines: serde::__field(entries, "covered_lines")?,
-            distinct_urls: serde::__field(entries, "distinct_urls")?,
-            state_count: serde::__field(entries, "state_count")?,
-            elapsed_secs: serde::__field(entries, "elapsed_secs")?,
-            trace: serde::__field(entries, "trace")?,
-            // Absent in zero-fault reports (and in every pre-fault-layer
-            // report): all-zero stats.
-            faults: match v.get("faults") {
-                Some(stats) => FaultStats::from_value(stats)?,
-                None => FaultStats::default(),
-            },
-            // Absent in pre-profiling reports: an empty breakdown.
-            phase: match v.get("phase") {
-                Some(phase) => PhaseTotals::from_value(phase)?,
-                None => PhaseTotals::default(),
-            },
-        })
-    }
+fn is_default<T: Default + PartialEq>(value: &T) -> bool {
+    *value == T::default()
 }
 
 /// Runs `crawler` on `app` for the configured budget.
@@ -328,6 +278,15 @@ mod tests {
         assert!(!legacy_json.contains("\"phase\""), "default breakdown is omitted");
         let legacy: CrawlReport = serde_json::from_str(&legacy_json).unwrap();
         assert_eq!(legacy.phase, PhaseTotals::default());
+    }
+
+    #[test]
+    fn configs_without_faults_parse_as_fault_free() {
+        let json = serde_json::to_string(&short()).unwrap();
+        let faults = format!(r#","faults":{}"#, serde_json::to_string(&FaultPlan::none()).unwrap());
+        assert!(json.ends_with(&format!("{faults}}}")), "{json}");
+        let legacy: EngineConfig = serde_json::from_str(&json.replacen(&faults, "", 1)).unwrap();
+        assert_eq!(legacy, short());
     }
 
     #[test]

@@ -10,12 +10,16 @@
 use mak_browser::page::Page;
 use mak_intern::Interner;
 use mak_websim::url::Url;
+use serde::{Deserialize, Serialize};
 
 /// The set of distinct URLs gathered during one crawl.
 ///
 /// Backed by an [`Interner`]: probing with an already-seen URL allocates
-/// nothing, and each distinct normalized URL is stored exactly once.
-#[derive(Debug, Default)]
+/// nothing, and each distinct normalized URL is stored exactly once. It
+/// checkpoints as its URLs in insertion order, which restore to identical
+/// symbol ids.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[serde(into = "Vec<String>", try_from = "Vec<String>")]
 pub struct LinkLog {
     seen: Interner,
 }
@@ -63,36 +67,17 @@ impl LinkLog {
     }
 }
 
-/// Checkpointing: the log serializes as its URLs in insertion order, which
-/// [`Interner::from_ordered`] maps back to identical symbol ids.
-impl serde::Serialize for LinkLog {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Array(
-            self.seen.ordered_strings().map(|s| serde::Value::Str(s.to_owned())).collect(),
-        )
+impl From<LinkLog> for Vec<String> {
+    fn from(log: LinkLog) -> Self {
+        log.seen.ordered_strings().map(str::to_owned).collect()
     }
 }
 
-impl serde::Deserialize for LinkLog {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let items = match v {
-            serde::Value::Array(items) => items,
-            other => {
-                return Err(serde::Error::custom(format!("expected LinkLog array, got {other:?}")))
-            }
-        };
-        let mut urls = Vec::with_capacity(items.len());
-        for item in items {
-            match item {
-                serde::Value::Str(s) => urls.push(s.as_str()),
-                other => {
-                    return Err(serde::Error::custom(format!(
-                        "expected URL string in LinkLog, got {other:?}"
-                    )))
-                }
-            }
-        }
-        Ok(LinkLog { seen: Interner::from_ordered(urls) })
+impl TryFrom<Vec<String>> for LinkLog {
+    type Error = String;
+
+    fn try_from(urls: Vec<String>) -> Result<Self, String> {
+        Ok(LinkLog { seen: Interner::from_ordered(urls)? })
     }
 }
 

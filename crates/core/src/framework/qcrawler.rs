@@ -11,18 +11,17 @@
 //! among the interactable elements of the page it currently sits on, and
 //! restarts from the seed URL when its trajectory dead-ends.
 
-use crate::framework::checkpoint::{CrawlerState, QState};
+use crate::framework::checkpoint::{CrawlerState, QState, StateTable};
 use crate::framework::crawler::{CrawlEnd, Crawler, StepReport};
 use crate::framework::linklog::LinkLog;
 use mak_bandit::gumbel::gumbel_softmax_sample;
 use mak_bandit::qlearning::QTable;
-use mak_browser::client::{BrowseError, Browser};
+use mak_browser::client::{BrowseError, Browser, RngWords};
 use mak_browser::cost::CostModel;
 use mak_browser::page::Page;
 use mak_websim::dom::Interactable;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize as _, Serialize as _};
 use std::borrow::Cow;
 use std::collections::HashMap;
 
@@ -37,25 +36,18 @@ pub trait StateAbstraction: std::fmt::Debug + Send + Sync {
     /// the brittle abstractions of §III-A.
     fn state_count(&self) -> usize;
 
-    /// Checkpointing: a stable tag naming this abstraction (`"webexplor"`,
-    /// `"qexplore"`), recorded in checkpoints so a restore can refuse a
-    /// payload produced by a different abstraction.
-    fn kind(&self) -> &'static str;
-
-    /// Checkpointing: the abstraction's full state table as a value tree.
-    /// Must be a deterministic function of the table's *content* (sorted,
-    /// never hasher-order dependent).
-    fn snapshot_value(&self) -> serde::Value;
+    /// Checkpointing: the abstraction's full state table.
+    fn snapshot_table(&self) -> StateTable;
 
     /// Checkpointing: overwrites this (fresh) abstraction's table from a
-    /// [`snapshot_value`](StateAbstraction::snapshot_value) payload, such
+    /// [`snapshot_table`](StateAbstraction::snapshot_table) result, such
     /// that subsequent `state_of` calls return the ids the snapshotted
     /// instance would have.
     ///
     /// # Errors
     ///
-    /// When the payload is malformed; never panics on corrupt input.
-    fn restore_value(&mut self, value: &serde::Value) -> Result<(), serde::Error>;
+    /// When the table belongs to a different abstraction.
+    fn restore_table(&mut self, table: &StateTable) -> Result<(), serde::Error>;
 }
 
 /// `CHOOSE_ACTION` of Algorithm 2.
@@ -310,16 +302,15 @@ impl<S: StateAbstraction> Crawler for QCrawler<S> {
         let mut visit_counts: Vec<(u64, u64, u64)> =
             self.visit_counts.iter().map(|(&(s, a), &n)| (s, a, n)).collect();
         visit_counts.sort_unstable();
-        Some(CrawlerState::Q(QState {
-            abstraction: self.states.kind().to_owned(),
-            states: self.states.snapshot_value(),
-            q: self.q.to_value(),
+        Some(CrawlerState::Q(Box::new(QState {
+            states: self.states.snapshot_table(),
+            q: self.q.clone(),
             visit_counts,
-            links: self.links.to_value(),
-            rng: self.rng.state().to_vec(),
-            current: self.current.as_ref().map(|(s, p)| (*s, p.to_value())),
+            links: self.links.clone(),
+            rng: RngWords::of(&self.rng),
+            current: self.current.clone(),
             restarts: self.restarts,
-        }))
+        })))
     }
 
     fn restore_state(&mut self, state: &CrawlerState) -> Result<(), serde::Error> {
@@ -329,27 +320,12 @@ impl<S: StateAbstraction> Crawler for QCrawler<S> {
                 self.name
             )));
         };
-        if s.abstraction != self.states.kind() {
-            return Err(serde::Error::custom(format!(
-                "checkpoint holds a `{}` state table, crawler uses `{}`",
-                s.abstraction,
-                self.states.kind()
-            )));
-        }
-        if s.rng.len() != 4 || s.rng.iter().all(|&w| w == 0) {
-            return Err(serde::Error::custom("invalid RNG state in Q checkpoint"));
-        }
-        let mut words = [0u64; 4];
-        words.copy_from_slice(&s.rng);
-        self.states.restore_value(&s.states)?;
-        self.q = QTable::from_value(&s.q)?;
+        self.states.restore_table(&s.states)?;
+        self.q = s.q.clone();
         self.visit_counts = s.visit_counts.iter().map(|&(st, a, n)| ((st, a), n)).collect();
-        self.links = LinkLog::from_value(&s.links)?;
-        self.rng = StdRng::from_state(words);
-        self.current = match &s.current {
-            Some((st, page)) => Some((*st, Page::from_value(page)?)),
-            None => None,
-        };
+        self.links = s.links.clone();
+        self.rng = s.rng.rng();
+        self.current = s.current.clone();
         self.restarts = s.restarts;
         Ok(())
     }

@@ -20,17 +20,16 @@
 //! pure function of `(app, crawler, seed, config)`, which is the
 //! serving layer's per-session determinism contract (see `mak-serve`).
 
-use crate::framework::checkpoint::{SessionCheckpoint, CHECKPOINT_VERSION};
+use crate::framework::checkpoint::{CheckpointVersion, SessionCheckpoint};
 use crate::framework::crawler::{CrawlEnd, Crawler, StepReport};
 use crate::framework::engine::{CoverageSample, CrawlReport, EngineConfig, TraceEntry};
-use mak_browser::client::{Browser, BrowserState};
+use mak_browser::client::Browser;
 use mak_browser::clock::VirtualClock;
 use mak_obs::event::Event;
 use mak_obs::sink::SinkHandle;
 use mak_obs::span::Phase;
 use mak_websim::coverage::CoverageMode;
 use mak_websim::server::{AppHost, WebApp};
-use serde::{Deserialize as _, Serialize as _};
 use std::sync::Arc;
 
 /// What [`Session::step`] reports back to the driving loop.
@@ -279,7 +278,7 @@ impl<'c> Session<'c> {
             ))
         })?;
         Ok(SessionCheckpoint {
-            version: CHECKPOINT_VERSION,
+            version: CheckpointVersion::CURRENT,
             app: self.app_name.clone(),
             crawler: crawler.name().to_owned(),
             seed: self.seed,
@@ -289,7 +288,7 @@ impl<'c> Session<'c> {
             next_sample: self.next_sample,
             series: self.series.clone(),
             trace: self.trace.clone(),
-            browser: self.browser.snapshot().to_value(),
+            browser: self.browser.snapshot(),
             crawler_state,
             spans: self.sink.span_snapshot(),
         })
@@ -313,9 +312,8 @@ impl<'c> Session<'c> {
         checkpoint: &SessionCheckpoint,
         sink: SinkHandle,
     ) -> Result<Session<'static>, serde::Error> {
-        let state = BrowserState::from_value(&checkpoint.browser)?;
-        let host = AppHost::restore_shared(app, &state.host)?;
-        Session::resume(host, CrawlerSlot::Owned(crawler), checkpoint, state, sink)
+        let host = AppHost::restore_shared(app, &checkpoint.browser.host);
+        Session::resume(host, CrawlerSlot::Owned(crawler), checkpoint, sink)
     }
 
     /// Owned-model variant of [`Session::restore`], for applications that
@@ -330,16 +328,14 @@ impl<'c> Session<'c> {
         checkpoint: &SessionCheckpoint,
         sink: SinkHandle,
     ) -> Result<Session<'static>, serde::Error> {
-        let state = BrowserState::from_value(&checkpoint.browser)?;
-        let host = AppHost::restore_owned(app, &state.host)?;
-        Session::resume(host, CrawlerSlot::Owned(crawler), checkpoint, state, sink)
+        let host = AppHost::restore_owned(app, &checkpoint.browser.host);
+        Session::resume(host, CrawlerSlot::Owned(crawler), checkpoint, sink)
     }
 
     fn resume(
         mut host: AppHost,
         mut crawler: CrawlerSlot<'static>,
         checkpoint: &SessionCheckpoint,
-        state: BrowserState,
         sink: SinkHandle,
     ) -> Result<Session<'static>, serde::Error> {
         if host.app().name() != checkpoint.app {
@@ -370,7 +366,7 @@ impl<'c> Session<'c> {
             checkpoint.seed,
             checkpoint.config.cost.clone(),
             checkpoint.config.faults.clone(),
-            &state,
+            &checkpoint.browser,
         );
         browser.set_sink(sink.clone());
         crawler.get().restore_state(&checkpoint.crawler_state)?;
@@ -681,10 +677,11 @@ mod tests {
 
             // Round-trip through JSON: what the serving layer writes to
             // disk is what a restore actually sees.
-            let json = serde_json::to_string(&checkpoint.to_value()).unwrap();
-            let back = SessionCheckpoint::from_value(&serde_json::from_str(&json).unwrap())
-                .unwrap_or_else(|e| panic!("{crawler}: {e}"));
-            assert_eq!(back, checkpoint, "{crawler} checkpoint JSON round-trip");
+            let json = serde_json::to_string(&checkpoint).unwrap();
+            let back: SessionCheckpoint =
+                serde_json::from_str(&json).unwrap_or_else(|e| panic!("{crawler}: {e}"));
+            let again = serde_json::to_string(&back).unwrap();
+            assert_eq!(again, json, "{crawler} checkpoint JSON round-trip");
 
             let restored = Session::restore(
                 app,

@@ -6,13 +6,12 @@ use crate::framework::linklog::LinkLog;
 use crate::mak::deque::{Arm, LeveledDeque};
 use crate::mak::policy::{ArmPolicy, RewardKind};
 use mak_bandit::normalize::StandardizedReward;
-use mak_browser::client::{BrowseError, Browser};
+use mak_browser::client::{BrowseError, Browser, RngWords};
 use mak_browser::page::Page;
 use mak_obs::event::Event;
 use mak_obs::sink::SinkHandle;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize as _, Serialize as _};
 use std::borrow::Cow;
 
 /// Multi-Armed Krawler: stateless, Exp3.1-driven, link-coverage rewarded.
@@ -266,11 +265,11 @@ impl Crawler for MakCrawler {
 
     fn snapshot_state(&self) -> Option<CrawlerState> {
         Some(CrawlerState::Mak(MakState {
-            policy: self.policy.to_value(),
-            reward: self.reward.to_value(),
-            deque: self.deque.to_value(),
-            links: self.links.to_value(),
-            rng: self.rng.state().to_vec(),
+            policy: self.policy.clone(),
+            reward: self.reward.clone(),
+            deque: self.deque.clone(),
+            links: self.links.clone(),
+            rng: RngWords::of(&self.rng),
             started: self.started,
         }))
     }
@@ -282,16 +281,14 @@ impl Crawler for MakCrawler {
                 self.name
             )));
         };
-        if s.rng.len() != 4 || s.rng.iter().all(|&w| w == 0) {
-            return Err(serde::Error::custom("invalid RNG state in MAK checkpoint"));
+        if s.policy.arms().is_some_and(|k| k != Arm::ALL.len()) {
+            return Err(serde::Error::custom("MAK checkpoint policy is not over three arms"));
         }
-        let mut words = [0u64; 4];
-        words.copy_from_slice(&s.rng);
-        self.policy = ArmPolicy::from_value(&s.policy)?;
-        self.reward = StandardizedReward::from_value(&s.reward)?;
-        self.deque = LeveledDeque::from_value(&s.deque)?;
-        self.links = LinkLog::from_value(&s.links)?;
-        self.rng = StdRng::from_state(words);
+        self.policy = s.policy.clone();
+        self.reward = s.reward.clone();
+        self.deque = s.deque.clone();
+        self.links = s.links.clone();
+        self.rng = s.rng.rng();
         self.started = s.started;
         Ok(())
     }

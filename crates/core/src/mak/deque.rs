@@ -14,6 +14,7 @@
 use mak_intern::Interner;
 use mak_websim::dom::Interactable;
 use rand::Rng;
+use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -73,11 +74,46 @@ impl fmt::Display for Arm {
 /// rather than owned `String`s: probing with an already-known element
 /// allocates nothing (the interner reuses a scratch buffer), and the element
 /// itself is only cloned into the pool when it is genuinely new.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[serde(into = "DequeRepr", try_from = "DequeRepr")]
 pub struct LeveledDeque {
     levels: Vec<VecDeque<Interactable>>,
     known: Interner,
     len: usize,
+}
+
+/// [`LeveledDeque`]'s checkpoint form: the per-level queues plus the dedup
+/// interner's strings in insertion order. Empty trailing levels are kept
+/// so `level_count` (and the `DequeDepth` event it feeds) is bit-identical
+/// after a restore.
+#[derive(Serialize, Deserialize)]
+struct DequeRepr {
+    levels: Vec<Vec<Interactable>>,
+    known: Vec<String>,
+}
+
+impl From<LeveledDeque> for DequeRepr {
+    fn from(deque: LeveledDeque) -> Self {
+        let known = deque.known.ordered_strings().map(str::to_owned).collect();
+        DequeRepr { levels: deque.levels.into_iter().map(Vec::from).collect(), known }
+    }
+}
+
+impl TryFrom<DequeRepr> for LeveledDeque {
+    type Error = String;
+
+    fn try_from(r: DequeRepr) -> Result<Self, String> {
+        let known = Interner::from_ordered(&r.known)?;
+        // Every pooled element was interned when first pushed: queues and
+        // dedup table that disagree are corrupt, not a pool state any
+        // sequence of operations could have produced.
+        if let Some(el) = r.levels.iter().flatten().find(|el| known.get(&el.signature()).is_none())
+        {
+            return Err(format!("pooled `{}` missing from the dedup interner", el.signature()));
+        }
+        let len = r.levels.iter().map(Vec::len).sum();
+        Ok(LeveledDeque { levels: r.levels.into_iter().map(VecDeque::from).collect(), known, len })
+    }
 }
 
 impl LeveledDeque {
@@ -157,68 +193,6 @@ impl LeveledDeque {
     /// The signature interner (diagnostics: table size under `MAK_LOG=debug`).
     pub fn interner(&self) -> &Interner {
         &self.known
-    }
-}
-
-/// Checkpointing: the pool serializes as its per-level element queues plus
-/// the dedup interner's strings in insertion order. Empty trailing levels
-/// are preserved so `level_count` (and the `DequeDepth` event it feeds) is
-/// bit-identical after a restore.
-impl serde::Serialize for LeveledDeque {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            (
-                "levels".to_owned(),
-                serde::Value::Array(
-                    self.levels
-                        .iter()
-                        .map(|deque| {
-                            serde::Value::Array(
-                                deque.iter().map(serde::Serialize::to_value).collect(),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "known".to_owned(),
-                serde::Value::Array(
-                    self.known.ordered_strings().map(|s| serde::Value::Str(s.to_owned())).collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-impl serde::Deserialize for LeveledDeque {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let raw_levels: Vec<Vec<Interactable>> = match v.get("levels") {
-            Some(levels) => serde::Deserialize::from_value(levels)?,
-            None => return Err(serde::Error::custom("LeveledDeque missing `levels`")),
-        };
-        let raw_known: Vec<String> = match v.get("known") {
-            Some(known) => serde::Deserialize::from_value(known)?,
-            None => return Err(serde::Error::custom("LeveledDeque missing `known`")),
-        };
-        let known = Interner::from_ordered(&raw_known);
-        let mut len = 0;
-        let mut levels: Vec<VecDeque<Interactable>> = Vec::with_capacity(raw_levels.len());
-        for level in raw_levels {
-            // Every pooled element must have been interned once: a payload
-            // whose queues and dedup table disagree is corrupt, not a pool
-            // state any sequence of operations could have produced.
-            for el in &level {
-                if known.get(&el.signature()).is_none() {
-                    return Err(serde::Error::custom(format!(
-                        "pooled element `{}` missing from the dedup interner",
-                        el.signature()
-                    )));
-                }
-            }
-            len += level.len();
-            levels.push(level.into_iter().collect());
-        }
-        Ok(LeveledDeque { levels, known, len })
     }
 }
 

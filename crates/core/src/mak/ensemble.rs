@@ -16,13 +16,12 @@ use crate::mak::deque::{Arm, LeveledDeque};
 use mak_bandit::exp31::Exp31;
 use mak_bandit::normalize::StandardizedReward;
 use mak_bandit::policy::BanditPolicy;
-use mak_browser::client::{BrowseError, Browser};
+use mak_browser::client::{BrowseError, Browser, RngWords};
 use mak_browser::page::Page;
 use mak_obs::event::Event;
 use mak_obs::sink::SinkHandle;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize as _, Serialize as _};
 use std::borrow::Cow;
 
 /// A round-robin ensemble of independent MAK policies over a shared pool.
@@ -173,12 +172,12 @@ impl Crawler for EnsembleCrawler {
 
     fn snapshot_state(&self) -> Option<CrawlerState> {
         Some(CrawlerState::Ensemble(EnsembleState {
-            policies: self.policies.iter().map(|p| p.to_value()).collect(),
-            rewards: self.rewards.iter().map(|r| r.to_value()).collect(),
+            policies: self.policies.clone(),
+            rewards: self.rewards.clone(),
             next_agent: self.next_agent as u64,
-            deque: self.deque.to_value(),
-            links: self.links.to_value(),
-            rng: self.rng.state().to_vec(),
+            deque: self.deque.clone(),
+            links: self.links.clone(),
+            rng: RngWords::of(&self.rng),
             started: self.started,
         }))
     }
@@ -197,21 +196,15 @@ impl Crawler for EnsembleCrawler {
                 self.policies.len()
             )));
         }
-        if s.rewards.len() != s.policies.len() || s.next_agent as usize >= s.policies.len() {
-            return Err(serde::Error::custom("inconsistent ensemble checkpoint"));
+        if s.policies.iter().any(|p| p.arms() != Arm::ALL.len()) {
+            return Err(serde::Error::custom("ensemble checkpoint policy is not over three arms"));
         }
-        if s.rng.len() != 4 || s.rng.iter().all(|&w| w == 0) {
-            return Err(serde::Error::custom("invalid RNG state in ensemble checkpoint"));
-        }
-        let mut words = [0u64; 4];
-        words.copy_from_slice(&s.rng);
-        self.policies = s.policies.iter().map(Exp31::from_value).collect::<Result<Vec<_>, _>>()?;
-        self.rewards =
-            s.rewards.iter().map(StandardizedReward::from_value).collect::<Result<Vec<_>, _>>()?;
+        self.policies = s.policies.clone();
+        self.rewards = s.rewards.clone();
         self.next_agent = s.next_agent as usize;
-        self.deque = LeveledDeque::from_value(&s.deque)?;
-        self.links = LinkLog::from_value(&s.links)?;
-        self.rng = StdRng::from_state(words);
+        self.deque = s.deque.clone();
+        self.links = s.links.clone();
+        self.rng = s.rng.rng();
         self.started = s.started;
         Ok(())
     }

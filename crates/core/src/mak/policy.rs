@@ -14,13 +14,16 @@ use mak_bandit::policy::BanditPolicy;
 use mak_bandit::thompson::Thompson;
 use mak_bandit::ucb::Ucb1;
 use rand::Rng;
+use serde::{Deserialize, Serialize};
 
 /// An arm-selection policy over MAK's three arms.
 ///
 /// This is an enum rather than a trait object because
 /// [`BanditPolicy::choose`] is generic over the RNG and therefore not
-/// object-safe.
-#[derive(Debug, Clone)]
+/// object-safe. Checkpoints tag the learner's full state (fixed
+/// hyper-parameters included) by variant, so a restore needs no
+/// out-of-band configuration.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum ArmPolicy {
     /// The paper's choice: Exp3.1 with epoch resets.
     Exp31(Exp31),
@@ -86,6 +89,19 @@ impl ArmPolicy {
         }
     }
 
+    /// The learner's arm count; `None` for the non-learner, which plays
+    /// whatever arm count it is asked for.
+    pub fn arms(&self) -> Option<usize> {
+        match self {
+            ArmPolicy::Exp31(p) => Some(p.arms()),
+            ArmPolicy::Exp3(p) => Some(p.arms()),
+            ArmPolicy::EpsilonGreedy(p) => Some(p.arms()),
+            ArmPolicy::Ucb1(p) => Some(p.arms()),
+            ArmPolicy::Thompson(p) => Some(p.arms()),
+            ArmPolicy::Uniform => None,
+        }
+    }
+
     /// Current selection probabilities (uniform for the non-learner).
     pub fn probabilities(&self, k: usize) -> Vec<f64> {
         match self {
@@ -134,42 +150,6 @@ impl ArmPolicy {
             ArmPolicy::Thompson(_) => "thompson",
             ArmPolicy::Uniform => "uniform",
         }
-    }
-}
-
-/// Checkpointing: externally tagged by the policy's short name, with the
-/// learner's full mutable state (including its fixed hyper-parameters) as
-/// the payload, so a restore needs no out-of-band configuration.
-impl serde::Serialize for ArmPolicy {
-    fn to_value(&self) -> serde::Value {
-        let payload = match self {
-            ArmPolicy::Exp31(p) => p.to_value(),
-            ArmPolicy::Exp3(p) => p.to_value(),
-            ArmPolicy::EpsilonGreedy(p) => p.to_value(),
-            ArmPolicy::Ucb1(p) => p.to_value(),
-            ArmPolicy::Thompson(p) => p.to_value(),
-            ArmPolicy::Uniform => serde::Value::Null,
-        };
-        serde::Value::Object(vec![(self.name().to_owned(), payload)])
-    }
-}
-
-impl serde::Deserialize for ArmPolicy {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let entries =
-            v.as_object().ok_or_else(|| serde::Error::custom("expected ArmPolicy object"))?;
-        let [(tag, payload)] = entries else {
-            return Err(serde::Error::custom("expected single-variant ArmPolicy object"));
-        };
-        Ok(match tag.as_str() {
-            "exp31" => ArmPolicy::Exp31(serde::Deserialize::from_value(payload)?),
-            "exp3" => ArmPolicy::Exp3(serde::Deserialize::from_value(payload)?),
-            "epsilon" => ArmPolicy::EpsilonGreedy(serde::Deserialize::from_value(payload)?),
-            "ucb1" => ArmPolicy::Ucb1(serde::Deserialize::from_value(payload)?),
-            "thompson" => ArmPolicy::Thompson(serde::Deserialize::from_value(payload)?),
-            "uniform" => ArmPolicy::Uniform,
-            other => return Err(serde::Error::custom(format!("unknown arm policy `{other}`"))),
-        })
     }
 }
 

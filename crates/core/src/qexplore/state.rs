@@ -1,8 +1,10 @@
 //! QExplore's state abstraction: hashed interactable attribute values.
 
+use crate::framework::checkpoint::StateTable;
 use crate::framework::qcrawler::StateAbstraction;
 use mak_browser::page::Page;
 use mak_websim::util::hash_str;
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// QExplore abstracts a page into "a sequence of attribute values of the
@@ -11,7 +13,10 @@ use std::collections::HashMap;
 /// are the same state; any change in the element list — including a single
 /// appended broken link — is a brand-new state, which is the unbounded
 /// state-explosion failure of Fig. 1 (bottom).
-#[derive(Debug, Default)]
+///
+/// Checkpoints list the `(hash, state id)` pairs sorted by hash.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[serde(into = "Vec<(u64, u64)>", try_from = "Vec<(u64, u64)>")]
 pub struct QExploreState {
     by_hash: HashMap<u64, u64>,
     /// Reusable representation buffer: the abstraction re-serializes every
@@ -24,6 +29,33 @@ impl QExploreState {
     /// Creates an empty state store.
     pub fn new() -> Self {
         Self::default()
+    }
+}
+
+impl From<QExploreState> for Vec<(u64, u64)> {
+    fn from(state: QExploreState) -> Self {
+        let mut pairs: Vec<(u64, u64)> = state.by_hash.into_iter().collect();
+        pairs.sort_unstable();
+        pairs
+    }
+}
+
+impl TryFrom<Vec<(u64, u64)>> for QExploreState {
+    type Error = &'static str;
+
+    fn try_from(pairs: Vec<(u64, u64)>) -> Result<Self, Self::Error> {
+        // State ids are handed out densely (`next_id = len` at insertion),
+        // so a valid table's ids are exactly a permutation of `0..len`.
+        let mut ids: Vec<u64> = pairs.iter().map(|&(_, id)| id).collect();
+        ids.sort_unstable();
+        if ids.iter().enumerate().any(|(i, &id)| id != i as u64) {
+            return Err("QExplore state ids are not a dense set");
+        }
+        let by_hash: HashMap<u64, u64> = pairs.into_iter().collect();
+        if by_hash.len() != ids.len() {
+            return Err("duplicate hash in QExplore state table");
+        }
+        Ok(QExploreState { by_hash, repr: String::new() })
     }
 }
 
@@ -43,34 +75,15 @@ impl StateAbstraction for QExploreState {
         self.by_hash.len()
     }
 
-    fn kind(&self) -> &'static str {
-        "qexplore"
+    fn snapshot_table(&self) -> StateTable {
+        StateTable::QExplore(self.clone())
     }
 
-    fn snapshot_value(&self) -> serde::Value {
-        let mut pairs: Vec<(u64, u64)> = self.by_hash.iter().map(|(&h, &id)| (h, id)).collect();
-        pairs.sort_unstable();
-        serde::Serialize::to_value(&pairs)
-    }
-
-    fn restore_value(&mut self, value: &serde::Value) -> Result<(), serde::Error> {
-        let pairs: Vec<(u64, u64)> = serde::Deserialize::from_value(value)?;
-        // State ids are handed out densely (`next_id = len` at insertion),
-        // so a valid table's ids are exactly a permutation of `0..len`.
-        let len = pairs.len() as u64;
-        let mut seen_ids = vec![false; pairs.len()];
-        for &(_, id) in &pairs {
-            if id >= len || seen_ids[id as usize] {
-                return Err(serde::Error::custom("QExplore state ids are not a dense set"));
-            }
-            seen_ids[id as usize] = true;
-        }
-        let by_hash: HashMap<u64, u64> = pairs.into_iter().collect();
-        if by_hash.len() as u64 != len {
-            return Err(serde::Error::custom("duplicate hash in QExplore state table"));
-        }
-        self.by_hash = by_hash;
-        self.repr.clear();
+    fn restore_table(&mut self, table: &StateTable) -> Result<(), serde::Error> {
+        let StateTable::QExplore(table) = table else {
+            return Err(serde::Error::custom("checkpoint holds a non-QExplore state table"));
+        };
+        *self = table.clone();
         Ok(())
     }
 }

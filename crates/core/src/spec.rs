@@ -5,10 +5,10 @@ use crate::framework::crawler::Crawler;
 use crate::mak::MakCrawler;
 use crate::qexplore::qexplore;
 use crate::webexplor::webexplor;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One row of Table I: the components of a reviewed crawler.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct CrawlerSpec {
     /// Tool name.
     pub tool: &'static str,

@@ -1,9 +1,10 @@
 //! WebExplor's state abstraction: exact URL + HTML-tag-sequence matching.
 
+use crate::framework::checkpoint::StateTable;
 use crate::framework::qcrawler::StateAbstraction;
 use mak_browser::page::Page;
 use mak_websim::dom::{DocShared, Tag};
-use serde::Serialize as _;
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt::Write;
 use std::sync::Arc;
@@ -12,7 +13,7 @@ use std::sync::Arc;
 /// by the pattern-matching similarity before a new state is created.
 const TAG_TOLERANCE: f64 = 0.10;
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct StateEntry {
     /// The page derivations (tag sequence lives here). Holding the `Arc`
     /// instead of a cloned `Vec<Tag>` makes revisits of a cached page a
@@ -28,13 +29,55 @@ struct StateEntry {
 /// 3. among states with the same URL, compare tag sequences with a
 ///    tolerant pattern match; if none is close enough, create a new state
 ///    anyway.
-#[derive(Debug, Default)]
+///
+/// Checkpoints list one `{url, tags}` entry per state, in state-id order,
+/// so the bytes are a pure function of the table's content.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[serde(into = "Vec<EntryRepr>", try_from = "Vec<EntryRepr>")]
 pub struct WebExplorState {
     entries: Vec<StateEntry>,
     by_url: HashMap<String, Vec<usize>>,
     /// Reusable key buffer: the exact (non-normalized) URL string is
     /// rebuilt here each lookup, so the hit path allocates nothing.
     url_key: String,
+}
+
+/// One checkpointed state: the URL it was created for and its tags.
+#[derive(Serialize, Deserialize)]
+struct EntryRepr {
+    url: String,
+    tags: Vec<Tag>,
+}
+
+impl From<WebExplorState> for Vec<EntryRepr> {
+    fn from(state: WebExplorState) -> Self {
+        // Entries carry only their tag sequence; the owning URL lives in
+        // the index.
+        let mut urls = vec![String::new(); state.entries.len()];
+        for (url, idxs) in state.by_url {
+            for &i in &idxs {
+                urls[i] = url.clone();
+            }
+        }
+        let tags = state.entries.iter().map(|e| e.shared.tags().to_vec());
+        urls.into_iter().zip(tags).map(|(url, tags)| EntryRepr { url, tags }).collect()
+    }
+}
+
+impl From<Vec<EntryRepr>> for WebExplorState {
+    fn from(entries: Vec<EntryRepr>) -> Self {
+        let mut state = WebExplorState::default();
+        for (idx, EntryRepr { url, tags }) in entries.into_iter().enumerate() {
+            state.by_url.entry(url).or_default().push(idx);
+            // Restored entries hold a fresh derivation: `state_of`'s
+            // pointer-equality fast path misses, but identical tag
+            // sequences compare similar, so the returned ids — and hence
+            // the crawl — are unchanged.
+            let shared = Arc::new(DocShared::from_parts(Vec::new(), tags));
+            state.entries.push(StateEntry { shared });
+        }
+        state
+    }
 }
 
 impl WebExplorState {
@@ -87,61 +130,15 @@ impl StateAbstraction for WebExplorState {
         self.entries.len()
     }
 
-    fn kind(&self) -> &'static str {
-        "webexplor"
+    fn snapshot_table(&self) -> StateTable {
+        StateTable::WebExplor(self.clone())
     }
 
-    fn snapshot_value(&self) -> serde::Value {
-        // Entries carry only their tag sequence; the owning URL lives in
-        // the index. Emit one `{url, tags}` object per entry, in state-id
-        // order, so the payload is a pure function of the table's content.
-        let mut urls: Vec<&str> = vec![""; self.entries.len()];
-        for (url, idxs) in &self.by_url {
-            for &i in idxs {
-                urls[i] = url;
-            }
-        }
-        serde::Value::Array(
-            self.entries
-                .iter()
-                .zip(&urls)
-                .map(|(entry, url)| {
-                    serde::Value::Object(vec![
-                        ("url".to_owned(), serde::Value::Str((*url).to_owned())),
-                        ("tags".to_owned(), entry.shared.tags().to_value()),
-                    ])
-                })
-                .collect(),
-        )
-    }
-
-    fn restore_value(&mut self, value: &serde::Value) -> Result<(), serde::Error> {
-        let items = match value {
-            serde::Value::Array(items) => items,
-            other => {
-                return Err(serde::Error::custom(format!(
-                    "expected WebExplor state array, got {other:?}"
-                )))
-            }
+    fn restore_table(&mut self, table: &StateTable) -> Result<(), serde::Error> {
+        let StateTable::WebExplor(table) = table else {
+            return Err(serde::Error::custom("checkpoint holds a non-WebExplor state table"));
         };
-        let mut entries = Vec::with_capacity(items.len());
-        let mut by_url: HashMap<String, Vec<usize>> = HashMap::new();
-        for (idx, item) in items.iter().enumerate() {
-            let obj = item
-                .as_object()
-                .ok_or_else(|| serde::Error::custom("expected WebExplor state entry object"))?;
-            let url: String = serde::__field(obj, "url")?;
-            let tags: Vec<Tag> = serde::__field(obj, "tags")?;
-            by_url.entry(url).or_default().push(idx);
-            // Restored entries hold a fresh derivation: `state_of`'s
-            // pointer-equality fast path misses, but identical tag
-            // sequences compare similar, so the returned ids — and hence
-            // the crawl — are unchanged.
-            entries.push(StateEntry { shared: Arc::new(DocShared::from_parts(Vec::new(), tags)) });
-        }
-        self.entries = entries;
-        self.by_url = by_url;
-        self.url_key.clear();
+        *self = table.clone();
         Ok(())
     }
 }

@@ -147,12 +147,21 @@ impl Interner {
     /// [`Interner::ordered_strings`]. Because ids are insertion-order dense,
     /// re-interning in the same order re-assigns the same ids, so symbols
     /// recorded elsewhere in a checkpoint stay valid.
-    pub fn from_ordered<S: AsRef<str>>(strings: impl IntoIterator<Item = S>) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// On a repeated string: no interner lists one twice, and re-interning
+    /// it would shift every later id.
+    pub fn from_ordered<S: AsRef<str>>(
+        strings: impl IntoIterator<Item = S>,
+    ) -> Result<Self, String> {
         let mut interner = Interner::new();
         for s in strings {
-            interner.intern(s.as_ref());
+            if !interner.try_intern(s.as_ref()).1 {
+                return Err(format!("interner lists `{}` twice", s.as_ref()));
+            }
         }
-        interner
+        Ok(interner)
     }
 }
 
@@ -215,6 +224,17 @@ mod tests {
         assert_eq!(a, a2);
         assert_ne!(a, b);
         assert_eq!(i.resolve(b), "key-2");
+    }
+
+    #[test]
+    fn from_ordered_restores_ids_and_refuses_repeats() {
+        let mut i = Interner::new();
+        i.intern("b");
+        i.intern("a");
+        let back = Interner::from_ordered(i.ordered_strings()).unwrap();
+        assert_eq!(back.get("a"), i.get("a"));
+        let err = Interner::from_ordered(["b", "a", "b"]).unwrap_err();
+        assert!(err.contains("twice"), "{err}");
     }
 
     #[test]

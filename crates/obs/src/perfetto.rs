@@ -21,22 +21,6 @@ use serde::Value;
 
 use crate::event::Event;
 
-/// Adapter: the vendored serde's [`Value`] does not implement the
-/// serialization traits itself, so wrap it for `serde_json`.
-struct Raw(Value);
-
-impl serde::Serialize for Raw {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
-}
-
-impl serde::Deserialize for Raw {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        Ok(Raw(v.clone()))
-    }
-}
-
 /// Accumulates span-close records and renders the `trace_events` JSON.
 #[derive(Debug, Clone)]
 pub struct PerfettoTrace {
@@ -127,7 +111,7 @@ impl PerfettoTrace {
 
     /// Renders the trace as a JSON string (one line, stable field order).
     pub fn to_json(&self) -> String {
-        serde_json::to_string(&Raw(self.to_value())).expect("perfetto trace serializes")
+        serde_json::to_string(&self.to_value()).expect("perfetto trace serializes")
     }
 }
 
@@ -155,7 +139,7 @@ mod tests {
         trace.push(&span(1, 0, "Step", 0.0, 1500.0));
         trace.push(&span(2, 1, "Render", 2.0, 100.0));
         let text = trace.to_json();
-        let value = serde_json::from_str::<Raw>(&text).expect("parses back").0;
+        let value = serde_json::from_str::<Value>(&text).expect("parses back");
 
         assert_eq!(value.get("displayTimeUnit"), Some(&Value::Str("ms".into())));
         let events = match value.get("traceEvents") {
@@ -216,7 +200,7 @@ mod tests {
     fn empty_trace_still_renders_valid_json() {
         let trace = PerfettoTrace::new("empty");
         assert!(trace.is_empty());
-        let value = serde_json::from_str::<Raw>(&trace.to_json()).expect("parses").0;
+        let value = serde_json::from_str::<Value>(&trace.to_json()).expect("parses");
         match value.get("traceEvents") {
             Some(Value::Array(events)) => assert_eq!(events.len(), 1),
             _ => panic!("traceEvents missing"),

@@ -79,6 +79,7 @@ pub struct FailureArtifact {
     pub shrink_attempts: u64,
     /// The fault plan active during the failing crawl. Deserializes to the
     /// empty plan when absent, so pre-chaos artifacts stay replayable.
+    #[serde(default)]
     pub faults: FaultPlan,
 }
 

@@ -16,6 +16,7 @@
 //!   the run is [sealed](CoverageTracker::seal), and the tool additionally
 //!   reports the total number of lines (used as ground truth in Table II).
 
+use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies a declared source file within a [`CodeModel`].
@@ -167,7 +168,7 @@ impl CodeModel {
 }
 
 /// Whether coverage is observable during the run or only at its end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum CoverageMode {
     /// Xdebug-style: queryable at any point during execution.
     Live,
@@ -176,7 +177,8 @@ pub enum CoverageMode {
 }
 
 /// Accumulates the set of executed lines over one run of one application.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(try_from = "CoverageTrackerRepr")]
 pub struct CoverageTracker {
     mode: CoverageMode,
     /// One bitmask vector per file; bit `i` = line `i+1` hit.
@@ -191,6 +193,37 @@ pub struct CoverageTracker {
     /// asserts it stays zero.
     clamped: u64,
     sealed: bool,
+}
+
+/// [`CoverageTracker`]'s checkpoint fields before validation.
+#[derive(Deserialize)]
+struct CoverageTrackerRepr {
+    mode: CoverageMode,
+    hits: Vec<Vec<u64>>,
+    file_lines: Vec<u32>,
+    covered: u64,
+    clamped: u64,
+    sealed: bool,
+}
+
+impl TryFrom<CoverageTrackerRepr> for CoverageTracker {
+    type Error = &'static str;
+
+    fn try_from(r: CoverageTrackerRepr) -> Result<Self, Self::Error> {
+        // `hit` indexes the bitmask by declared line, so each file's mask
+        // must be exactly as long as its declared length needs.
+        let shaped = r.hits.len() == r.file_lines.len()
+            && r.hits.iter().zip(&r.file_lines).all(|(m, &l)| m.len() == (l as usize).div_ceil(64));
+        if !shaped {
+            return Err("coverage bitmask shape does not match the declared file lengths");
+        }
+        let set: u64 = r.hits.iter().flatten().map(|w| u64::from(w.count_ones())).sum();
+        if set != r.covered {
+            return Err("coverage count disagrees with the bitmask");
+        }
+        let CoverageTrackerRepr { mode, hits, file_lines, covered, clamped, sealed } = r;
+        Ok(CoverageTracker { mode, hits, file_lines, covered, clamped, sealed })
+    }
 }
 
 impl CoverageTracker {
@@ -316,57 +349,6 @@ impl CoverageTracker {
                 *m |= *t;
             }
         }
-    }
-}
-
-// Checkpoint serialization: every field is already deterministic (dense
-// vectors, no maps), so the derive-style field order is enough.
-impl serde::Serialize for CoverageTracker {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            (
-                "mode".to_owned(),
-                serde::Value::Str(
-                    match self.mode {
-                        CoverageMode::Live => "live",
-                        CoverageMode::Final => "final",
-                    }
-                    .to_owned(),
-                ),
-            ),
-            ("hits".to_owned(), self.hits.to_value()),
-            ("file_lines".to_owned(), self.file_lines.to_value()),
-            ("covered".to_owned(), serde::Value::UInt(self.covered)),
-            ("clamped".to_owned(), serde::Value::UInt(self.clamped)),
-            ("sealed".to_owned(), serde::Value::Bool(self.sealed)),
-        ])
-    }
-}
-
-impl serde::Deserialize for CoverageTracker {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(entries) = value else {
-            return Err(serde::Error::custom("expected CoverageTracker object"));
-        };
-        let mode: String = serde::__field(entries, "mode")?;
-        let mode = match mode.as_str() {
-            "live" => CoverageMode::Live,
-            "final" => CoverageMode::Final,
-            _ => return Err(serde::Error::custom("unknown coverage mode")),
-        };
-        let hits: Vec<Vec<u64>> = serde::__field(entries, "hits")?;
-        let file_lines: Vec<u32> = serde::__field(entries, "file_lines")?;
-        if hits.len() != file_lines.len() {
-            return Err(serde::Error::custom("coverage bitmask/file-length shape mismatch"));
-        }
-        Ok(CoverageTracker {
-            mode,
-            hits,
-            file_lines,
-            covered: serde::__field(entries, "covered")?,
-            clamped: serde::__field(entries, "clamped")?,
-            sealed: serde::__field(entries, "sealed")?,
-        })
     }
 }
 

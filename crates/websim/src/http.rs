@@ -5,10 +5,11 @@
 
 use crate::dom::Document;
 use crate::url::Url;
+use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// HTTP method. The simulated apps only use `GET` and `POST`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum Method {
     /// Safe, idempotent retrieval.
     #[default]
@@ -23,22 +24,6 @@ impl fmt::Display for Method {
             Method::Get => "GET",
             Method::Post => "POST",
         })
-    }
-}
-
-impl serde::Serialize for Method {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.to_string())
-    }
-}
-
-impl serde::Deserialize for Method {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        match value {
-            serde::Value::Str(s) if s == "GET" => Ok(Method::Get),
-            serde::Value::Str(s) if s == "POST" => Ok(Method::Post),
-            _ => Err(serde::Error::custom("expected \"GET\" or \"POST\"")),
-        }
     }
 }
 
@@ -79,7 +64,7 @@ impl Request {
 }
 
 /// Opaque session identifier carried in the cookie.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct SessionId(pub(crate) u64);
 
 impl SessionId {
@@ -89,12 +74,6 @@ impl SessionId {
     pub fn from_raw(raw: u64) -> Self {
         SessionId(raw)
     }
-
-    /// The raw value, for checkpoint serialization; round-trips through
-    /// [`SessionId::from_raw`].
-    pub fn raw(self) -> u64 {
-        self.0
-    }
 }
 
 impl fmt::Display for SessionId {
@@ -103,20 +82,8 @@ impl fmt::Display for SessionId {
     }
 }
 
-impl serde::Serialize for SessionId {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::UInt(self.0)
-    }
-}
-
-impl serde::Deserialize for SessionId {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        u64::from_value(value).map(SessionId)
-    }
-}
-
 /// HTTP status code subset used by the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Status {
     /// 200.
     Ok,
@@ -138,35 +105,11 @@ impl Status {
             Status::ServerError => 500,
         }
     }
-
-    /// The inverse of [`Status::code`], for checkpoint deserialization.
-    pub fn from_code(code: u16) -> Option<Self> {
-        match code {
-            200 => Some(Status::Ok),
-            302 => Some(Status::Found),
-            404 => Some(Status::NotFound),
-            500 => Some(Status::ServerError),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Status {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.code())
-    }
-}
-
-impl serde::Serialize for Status {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::UInt(u64::from(self.code()))
-    }
-}
-
-impl serde::Deserialize for Status {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let code = u16::from_value(value)?;
-        Status::from_code(code).ok_or_else(|| serde::Error::custom("unknown status code"))
     }
 }
 

@@ -47,3 +47,42 @@ pub mod server;
 pub mod session;
 pub mod url;
 pub mod util;
+
+#[cfg(test)]
+mod checkpoint_tests {
+    use crate::coverage::{Block, CodeModel, CoverageMode, CoverageTracker};
+    use crate::session::SessionStore;
+    use crate::url::Url;
+    use serde::{Deserialize, Serialize};
+
+    /// Encodes `value`, replaces `from` with `to` and returns the decode
+    /// error of the corrupted text.
+    fn rejection<T: Serialize + Deserialize>(value: &T, from: &str, to: &str) -> String {
+        let json = serde_json::to_string(value).unwrap();
+        let corrupt = serde_json::from_str::<T>(&json.replacen(from, to, 1));
+        corrupt.err().unwrap_or_else(|| panic!("accepted {to}")).to_string()
+    }
+
+    #[test]
+    fn corrupt_host_checkpoints_are_rejected() {
+        let mut model = CodeModel::new();
+        let file = model.declare_file("index.php", 70);
+        let mut tracker = CoverageTracker::new(&model, CoverageMode::Live);
+        tracker.hit(Block { file, start: 1, end: 2 });
+        let mut store = SessionStore::new();
+        store.create();
+        store.create();
+        let url: Url = "http://h/p".parse().unwrap();
+        let cases = [
+            (rejection(&tracker, "[[3,0]]", "[[3]]"), "bitmask shape"),
+            (rejection(&tracker, "[70]", "[140]"), "bitmask shape"),
+            (rejection(&tracker, r#""covered":2"#, r#""covered":3"#), "coverage count"),
+            (rejection(&store, r#""next":2"#, r#""next":1"#), "below `next`"),
+            (rejection(&store, "[[0,", "[[1,"), "increasing"),
+            (rejection(&url, "http://h", "h"), "URL"),
+        ];
+        for (err, want) in cases {
+            assert!(err.contains(want), "`{err}` should mention `{want}`");
+        }
+    }
+}

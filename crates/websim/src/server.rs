@@ -12,7 +12,7 @@ use crate::session::{Session, SessionStore};
 use crate::url::Url;
 use mak_obs::event::Event;
 use mak_obs::sink::SinkHandle;
-use serde::{Deserialize as _, Serialize as _};
+use serde::{Deserialize, Serialize};
 
 /// Per-request context handed to [`WebApp::handle`]: the requester's session
 /// and the coverage recorder.
@@ -229,7 +229,7 @@ impl AppHost {
     pub fn snapshot_state(&self) -> HostState {
         HostState {
             tracker: self.tracker.clone(),
-            sessions: self.sessions.to_value(),
+            sessions: self.sessions.clone(),
             requests: self.requests,
         }
     }
@@ -237,82 +237,36 @@ impl AppHost {
     /// Redeploys a *shared* application model at a checkpointed state. The
     /// inverse of [`AppHost::snapshot_state`]; behaviour from here on is
     /// identical to the host the state was captured from.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the serialized session store is malformed.
-    pub fn restore_shared(
-        app: std::sync::Arc<dyn WebApp>,
-        state: &HostState,
-    ) -> Result<Self, serde::Error> {
-        let sessions = SessionStore::from_value(&state.sessions)?;
-        Ok(AppHost {
-            app: AppRef::Shared(app),
-            tracker: state.tracker.clone(),
-            sessions,
-            requests: state.requests,
-            sink: SinkHandle::none(),
-        })
+    pub fn restore_shared(app: std::sync::Arc<dyn WebApp>, state: &HostState) -> Self {
+        Self::restore(AppRef::Shared(app), state)
     }
 
     /// Owned-model variant of [`AppHost::restore_shared`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the serialized session store is malformed.
-    pub fn restore_owned(app: Box<dyn WebApp>, state: &HostState) -> Result<Self, serde::Error> {
-        let sessions = SessionStore::from_value(&state.sessions)?;
-        Ok(AppHost {
-            app: AppRef::Owned(app),
+    pub fn restore_owned(app: Box<dyn WebApp>, state: &HostState) -> Self {
+        Self::restore(AppRef::Owned(app), state)
+    }
+
+    fn restore(app: AppRef, state: &HostState) -> Self {
+        AppHost {
+            app,
             tracker: state.tracker.clone(),
-            sessions,
+            sessions: state.sessions.clone(),
             requests: state.requests,
             sink: SinkHandle::none(),
-        })
+        }
     }
 }
 
 /// Checkpointed mutable state of an [`AppHost`]: everything a fresh
 /// deployment of the same immutable model needs to continue bit-identically.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HostState {
     /// The coverage tracker, bitmasks and counters included.
     pub tracker: CoverageTracker,
-    /// The session store in its serialized (id-sorted) form.
-    pub sessions: serde::Value,
+    /// The server-side session store.
+    pub sessions: SessionStore,
     /// Requests served so far (drives per-request fault/failure modeling).
     pub requests: u64,
-}
-
-impl serde::Serialize for HostState {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("tracker".to_owned(), self.tracker.to_value()),
-            ("sessions".to_owned(), self.sessions.clone()),
-            ("requests".to_owned(), serde::Value::UInt(self.requests)),
-        ])
-    }
-}
-
-impl serde::Deserialize for HostState {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(entries) = value else {
-            return Err(serde::Error::custom("expected HostState object"));
-        };
-        let sessions = entries
-            .iter()
-            .find(|(k, _)| k == "sessions")
-            .map(|(_, v)| v.clone())
-            .ok_or_else(|| serde::Error::custom("missing field `sessions`"))?;
-        // Validate the embedded store eagerly so corrupt checkpoints fail at
-        // load time, not mid-restore.
-        SessionStore::from_value(&sessions)?;
-        Ok(HostState {
-            tracker: serde::__field(entries, "tracker")?,
-            sessions,
-            requests: serde::__field(entries, "requests")?,
-        })
-    }
 }
 
 /// Convenience: a trivial single-page app used in tests and doctests.

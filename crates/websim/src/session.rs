@@ -7,10 +7,12 @@
 //! button can execute *new* code once earlier interactions changed state.
 
 use crate::http::SessionId;
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A single session's variables.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[serde(into = "SessionRepr", try_from = "SessionRepr")]
 pub struct Session {
     vars: HashMap<String, i64>,
     lists: HashMap<String, Vec<String>>,
@@ -53,48 +55,70 @@ impl Session {
     }
 }
 
-// Checkpoint serialization. The backing maps are hash maps, so both
-// collections are emitted key-sorted: checkpoint bytes must be a pure
-// function of session *content*, never of hasher state.
-impl serde::Serialize for Session {
-    fn to_value(&self) -> serde::Value {
-        let mut vars: Vec<(&String, i64)> = self.vars.iter().map(|(k, v)| (k, *v)).collect();
+/// [`Session`]'s checkpoint form: both hash maps emitted key-sorted, so
+/// checkpoint bytes are a pure function of session *content*, never of
+/// hasher state.
+#[derive(Serialize, Deserialize)]
+struct SessionRepr {
+    vars: Vec<(String, i64)>,
+    lists: Vec<(String, Vec<String>)>,
+}
+
+impl From<Session> for SessionRepr {
+    fn from(s: Session) -> Self {
+        let mut vars: Vec<_> = s.vars.into_iter().collect();
         vars.sort();
-        let mut lists: Vec<(&String, &Vec<String>)> = self.lists.iter().collect();
+        let mut lists: Vec<_> = s.lists.into_iter().collect();
         lists.sort();
-        serde::Value::Object(vec![
-            (
-                "vars".to_owned(),
-                serde::Value::Array(
-                    vars.iter().map(|(k, v)| (k.as_str(), *v).to_value()).collect(),
-                ),
-            ),
-            (
-                "lists".to_owned(),
-                serde::Value::Array(
-                    lists.iter().map(|(k, v)| (k.as_str(), v.as_slice()).to_value()).collect(),
-                ),
-            ),
-        ])
+        SessionRepr { vars, lists }
     }
 }
 
-impl serde::Deserialize for Session {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(entries) = value else {
-            return Err(serde::Error::custom("expected Session object"));
-        };
-        let vars: Vec<(String, i64)> = serde::__field(entries, "vars")?;
-        let lists: Vec<(String, Vec<String>)> = serde::__field(entries, "lists")?;
-        Ok(Session { vars: vars.into_iter().collect(), lists: lists.into_iter().collect() })
+impl From<SessionRepr> for Session {
+    fn from(r: SessionRepr) -> Self {
+        Session { vars: r.vars.into_iter().collect(), lists: r.lists.into_iter().collect() }
     }
 }
 
 /// Allocates and stores sessions for one hosted application.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[serde(into = "SessionStoreRepr", try_from = "SessionStoreRepr")]
 pub struct SessionStore {
     sessions: HashMap<SessionId, Session>,
     next: u64,
+}
+
+/// [`SessionStore`]'s checkpoint form: sessions sorted by id.
+#[derive(Serialize, Deserialize)]
+struct SessionStoreRepr {
+    next: u64,
+    sessions: Vec<(SessionId, Session)>,
+}
+
+impl From<SessionStore> for SessionStoreRepr {
+    fn from(store: SessionStore) -> Self {
+        let mut sessions: Vec<_> = store.sessions.into_iter().collect();
+        sessions.sort_by_key(|(id, _)| *id);
+        SessionStoreRepr { next: store.next, sessions }
+    }
+}
+
+impl TryFrom<SessionStoreRepr> for SessionStore {
+    type Error = &'static str;
+
+    fn try_from(r: SessionStoreRepr) -> Result<Self, Self::Error> {
+        // Ids are allocated from `next` upwards, so a store lists each
+        // below `next` exactly once; anything else would hand a later
+        // `create` an id that is already live.
+        let mut bound = 0;
+        for (id, _) in &r.sessions {
+            if id.0 < bound || id.0 >= r.next {
+                return Err("session ids must be increasing and below `next`");
+            }
+            bound = id.0 + 1;
+        }
+        Ok(SessionStore { sessions: r.sessions.into_iter().collect(), next: r.next })
+    }
 }
 
 impl SessionStore {
@@ -129,37 +153,6 @@ impl SessionStore {
     /// Whether no sessions exist.
     pub fn is_empty(&self) -> bool {
         self.sessions.is_empty()
-    }
-}
-
-// Sessions are emitted sorted by id for deterministic checkpoint bytes.
-impl serde::Serialize for SessionStore {
-    fn to_value(&self) -> serde::Value {
-        let mut sessions: Vec<(&SessionId, &Session)> = self.sessions.iter().collect();
-        sessions.sort_by_key(|(id, _)| **id);
-        serde::Value::Object(vec![
-            ("next".to_owned(), serde::Value::UInt(self.next)),
-            (
-                "sessions".to_owned(),
-                serde::Value::Array(
-                    sessions.iter().map(|(id, s)| (id.raw(), *s).to_value()).collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-impl serde::Deserialize for SessionStore {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(entries) = value else {
-            return Err(serde::Error::custom("expected SessionStore object"));
-        };
-        let next: u64 = serde::__field(entries, "next")?;
-        let sessions: Vec<(u64, Session)> = serde::__field(entries, "sessions")?;
-        Ok(SessionStore {
-            next,
-            sessions: sessions.into_iter().map(|(id, s)| (SessionId(id), s)).collect(),
-        })
     }
 }
 

@@ -7,6 +7,7 @@
 //! `?a=1&b=2` and `?b=2&a=1` must be distinguishable, while the normalized
 //! form used for link-coverage accounting sorts parameters.
 
+use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -23,7 +24,12 @@ use std::sync::OnceLock;
 /// assert_eq!(url.query_value("p"), Some("8"));
 /// # Ok::<(), mak_websim::url::ParseUrlError>(())
 /// ```
-#[derive(Clone)]
+///
+/// Checkpoints persist a URL as its display string; `Display → parse` is
+/// a fixpoint (query order is preserved), so restored URLs compare equal
+/// and normalize identically.
+#[derive(Clone, Serialize, Deserialize)]
+#[serde(into = "String", try_from = "String")]
 pub struct Url {
     scheme: String,
     host: String,
@@ -282,23 +288,17 @@ impl fmt::Display for Url {
     }
 }
 
-// Checkpoints persist URLs as their display string; `Display → parse` is a
-// fixpoint (query order is preserved), so restored URLs compare equal and
-// normalize identically.
-impl serde::Serialize for Url {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.to_string())
+impl From<Url> for String {
+    fn from(url: Url) -> Self {
+        url.to_string()
     }
 }
 
-impl serde::Deserialize for Url {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        match value {
-            serde::Value::Str(s) => {
-                s.parse().map_err(|_| serde::Error::custom("invalid URL in checkpoint"))
-            }
-            _ => Err(serde::Error::custom("expected URL string")),
-        }
+impl TryFrom<String> for Url {
+    type Error = ParseUrlError;
+
+    fn try_from(s: String) -> Result<Self, ParseUrlError> {
+        s.parse()
     }
 }
 
