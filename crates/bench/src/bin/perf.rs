@@ -6,22 +6,20 @@
 //! effective selection of elements".
 //!
 //! Besides the paper table, this binary profiles the harness itself into
-//! `results/BENCH_perf.json`: per-cell wall-clock milliseconds and
-//! steps/second (from the `CellFinished` event stream of
-//! [`run_matrix_cached_observed`]), the session cache hit rate, and a
-//! virtual-budget profile of one instrumented `phpbb2`/`mak` run
-//! (per-bucket time attribution and peak deque depth, from an
-//! [`Aggregator`] sink).
+//! `results/BENCH_perf.json`: the source fingerprint of the build, per-cell
+//! wall-clock milliseconds and steps/second (from the `CellFinished` event
+//! stream of [`run_matrix_cached_observed`]), the session cache hit rate,
+//! and per-app virtual-time phase totals (`phase_by_app`), which `regress`
+//! holds exactly to `results/phase_gate.json`.
 
-use mak::framework::engine::run_crawl_with_sink;
-use mak::spec::{build_crawler, RL_CRAWLERS};
-use mak_bench::{engine_config, matrix, seeds, store, threads, write_result, write_summaries};
+use mak::spec::RL_CRAWLERS;
+use mak_bench::gate::{fingerprint, AppPhases};
+use mak_bench::{matrix, seeds, store, threads, write_result, write_summaries};
 use mak_metrics::experiment::run_matrix_cached_observed;
 use mak_metrics::report::{markdown_table, RunSummary};
 use mak_metrics::stats::{mean, sample_std};
-use mak_obs::aggregate::Aggregator;
 use mak_obs::event::Event;
-use mak_obs::sink::{SharedSink, SinkHandle, VecSink};
+use mak_obs::sink::{SharedSink, VecSink};
 use mak_obs::span::PhaseTotals;
 use mak_websim::apps;
 use serde::Serialize;
@@ -55,62 +53,18 @@ struct PerfCache {
     hit_rate: f64,
 }
 
-/// Virtual-budget attribution of one instrumented run.
-#[derive(Debug, Serialize)]
-struct PerfProfile {
-    app: String,
-    crawler: String,
-    seed: u64,
-    steps: u64,
-    peak_deque: u64,
-    epoch_advances: u64,
-    fetch_ms: f64,
-    think_ms: f64,
-    interact_ms: f64,
-    policy_ms: f64,
-    steps_per_virtual_sec: f64,
-}
-
-/// Per-app phase totals folded over every crawler and seed — the
-/// denominator of the blessed per-phase share ceilings `regress` gates.
-#[derive(Debug, Serialize)]
-struct AppPhases {
-    app: String,
-    phase: PhaseTotals,
-}
-
 /// The `results/BENCH_perf.json` document.
 #[derive(Debug, Serialize)]
 struct PerfReport {
+    /// Source fingerprint of the build that wrote the report.
+    fingerprint: String,
     budget_minutes: f64,
     seeds: u64,
     threads: u64,
     cells: Vec<PerfCell>,
     cache: PerfCache,
-    profile: PerfProfile,
     /// Per-app virtual-time phase breakdown, summed over the matrix.
     phase_by_app: Vec<AppPhases>,
-}
-
-fn profile_run() -> PerfProfile {
-    let (sink, cell) = SinkHandle::shared(Aggregator::new());
-    let mut crawler = build_crawler("mak", 0).expect("mak is a known crawler");
-    let app = apps::build("phpbb2").expect("phpbb2 is a known app");
-    run_crawl_with_sink(&mut *crawler, app, &engine_config(), 0, &sink);
-    let agg = cell.lock().unwrap();
-    PerfProfile {
-        app: agg.app.clone(),
-        crawler: agg.crawler.clone(),
-        seed: agg.seed,
-        steps: agg.steps,
-        peak_deque: agg.deque_peak,
-        epoch_advances: agg.epoch_advances,
-        fetch_ms: agg.profile.fetch_ms,
-        think_ms: agg.profile.think_ms,
-        interact_ms: agg.profile.interact_ms,
-        policy_ms: agg.profile.policy_ms,
-        steps_per_virtual_sec: agg.steps_per_virtual_sec(),
-    }
 }
 
 fn main() {
@@ -220,6 +174,7 @@ fn main() {
     let misses = store.session_misses();
     let looked_up = hits + misses;
     let perf = PerfReport {
+        fingerprint: fingerprint(),
         budget_minutes: mak_bench::budget_minutes(),
         seeds: seeds(),
         threads: threads() as u64,
@@ -229,7 +184,6 @@ fn main() {
             misses,
             hit_rate: if looked_up == 0 { 0.0 } else { hits as f64 / looked_up as f64 },
         },
-        profile: profile_run(),
         phase_by_app,
     };
     write_result(

@@ -7,9 +7,9 @@
 //! before the drain starts — and runs them to the end of their
 //! `MAK_SERVE_BUDGET_MINUTES` (default 0.5) virtual budget on
 //! `MAK_THREADS` workers. Writes throughput (sessions/hour, steps/sec),
-//! wall-clock step-latency percentiles (p50/p99), and a drain-progress
-//! time-series to `results/BENCH_serve.json` (schema:
-//! [`mak_bench::slo::ServeReport`]), plus the full Prometheus
+//! wall-clock step-latency percentiles (p50/p99), a drain-progress
+//! time-series and the build's source fingerprint to
+//! `results/BENCH_serve.json` (schema: [`ServeReport`]), plus the full Prometheus
 //! exposition to `results/serve_metrics.prom` and the virtual-domain
 //! snapshot — bit-identical across thread counts and schedule orders —
 //! to `results/serve_metrics_virtual.json` (the CI `telemetry` job
@@ -17,8 +17,9 @@
 //! disables collection entirely, which is how the 5% overhead bound on
 //! metrics is measured. The CI `serve-smoke` job runs a 1 000 ×
 //! 2-minute variant and gates on zero aborted sessions; the `regress`
-//! binary gates this report against blessed SLO floors
-//! (`results/serve_slo.json`).
+//! binary holds this report to the serve rows of its gate table
+//! (`results/serve_slo.json`, blessed at the default workload) and
+//! refuses it once the source tree has moved on.
 //!
 //! Latency numbers are wall-clock and therefore machine-dependent; the
 //! session *outcomes* stay bit-deterministic (see
@@ -26,10 +27,83 @@
 //! not a results generator — nothing here feeds the paper tables.
 
 use mak::framework::engine::EngineConfig;
-use mak_bench::slo::{RecoveryBench, ServeReport};
+use mak_bench::gate::fingerprint;
 use mak_bench::write_result;
-use mak_serve::{CrawlService, ServiceConfig, SessionSpec, TenantQuota};
+use mak_serve::{Checkpoint, CrawlService, ServiceConfig, SessionSpec, TenantQuota};
+use serde::Serialize;
 use std::time::Instant;
+
+/// The `results/BENCH_serve.json` document.
+#[derive(Debug, Serialize)]
+struct ServeReport {
+    /// Source fingerprint of the build that ran the load.
+    fingerprint: String,
+    /// Sessions submitted (all in flight simultaneously before draining).
+    sessions: u64,
+    /// Peak concurrent sessions (equals `sessions`: submit-then-drain).
+    peak_in_flight: u64,
+    /// Worker threads used for the drain.
+    threads: u64,
+    /// Steps per scheduling quantum.
+    steps_per_slice: u64,
+    /// Virtual budget per session, minutes.
+    budget_minutes: f64,
+    /// Wall-clock seconds for the drain (excludes submission).
+    drain_wall_secs: f64,
+    /// Wall-clock seconds spent submitting (session construction).
+    submit_wall_secs: f64,
+    /// Completed sessions per wall-clock hour, from the drain phase.
+    sessions_per_hour: f64,
+    /// Virtual-clock steps executed across all sessions.
+    total_steps: u64,
+    /// Steps per wall-clock second across the drain.
+    steps_per_sec: f64,
+    /// Median wall-clock cost of one virtual step, nanoseconds.
+    p50_step_ns: u64,
+    /// 99th-percentile wall-clock cost of one virtual step, nanoseconds.
+    p99_step_ns: u64,
+    /// Sessions that panicked mid-step. Always 0 for in-tree crawlers.
+    aborted: u64,
+    /// Total interactions across all completed sessions (a cheap
+    /// plausibility check that the sessions really crawled).
+    total_interactions: u64,
+    /// Work-stealing operations during the drain.
+    steals: u64,
+    /// High-water mark of observed scheduler queue depth.
+    queue_peak: u64,
+    /// Drain progress: one point per `checkpoint_every` completions
+    /// (wall-clock domain).
+    series: Vec<Checkpoint>,
+    /// Crash-recovery cycle measurements, present only in
+    /// `MAK_SERVE_CRASH_AT` mode.
+    recovery: Option<RecoveryBench>,
+}
+
+/// One measured crash-recovery cycle: the load ran to
+/// `MAK_SERVE_CRASH_AT` scheduler steps with cadence checkpointing on,
+/// the service was dropped without draining (a simulated hard crash),
+/// and a fresh service recovered the survivors from disk and ran them
+/// to completion. Wall-clock numbers are never gated; session outcomes
+/// stay bit-deterministic.
+#[derive(Debug, Serialize)]
+struct RecoveryBench {
+    /// Scheduler steps executed before the simulated crash.
+    crash_at_steps: u64,
+    /// Cadence: steps a session runs between checkpoint writes.
+    checkpoint_every_steps: u64,
+    /// Sessions that finished before the crash point.
+    completed_before_crash: u64,
+    /// Sessions re-admitted from on-disk checkpoints.
+    restored: u64,
+    /// Sessions lost to the crash (in flight, never checkpointed).
+    lost: u64,
+    /// Checkpoint files quarantined as unreadable during recovery.
+    corrupt_quarantined: u64,
+    /// Wall-clock seconds to scan, decode, and re-admit every checkpoint.
+    recover_wall_secs: f64,
+    /// Wall-clock seconds to drain the recovered sessions to completion.
+    resume_drain_wall_secs: f64,
+}
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
@@ -148,6 +222,7 @@ fn main() {
     let latencies = service.last_latencies();
     let total_steps = latencies.total_steps();
     let report = ServeReport {
+        fingerprint: fingerprint(),
         sessions,
         peak_in_flight,
         threads,

@@ -10,10 +10,11 @@
 //! | `table2`  | Table II       | estimated mean coverage, 11 apps |
 //! | `ablation`| §V-C           | cumulative regret MAK/BFS/DFS/Random |
 //! | `ablation2`| extension     | design-choice ablations (policies, rewards, pool) |
-//! | `perf`    | §V-D           | mean interacted elements per run |
+//! | `perf`    | §V-D           | mean interacted elements per run; `BENCH_perf.json` with per-app phase totals |
 //! | `sweep`   | extension      | coverage vs crawl budget |
 //! | `faults`  | extension      | coverage + resilience vs injected fault rate |
-//! | `regress` | —              | coverage/regret gate vs `results/baselines.json`, serve SLO gate vs `results/serve_slo.json` |
+//! | `serve`   | —              | serving-layer load run; `BENCH_serve.json` |
+//! | `regress` | —              | the gate table ([`gate`]): coverage/regret vs `results/baselines.json`, serve vs `results/serve_slo.json`, exact phase totals vs `results/phase_gate.json`; refuses stale reports |
 //! | `report`  | —              | assemble `results/index.html` |
 //!
 //! All binaries honor these environment variables:
@@ -33,8 +34,6 @@
 #![forbid(unsafe_code)]
 
 pub mod gate;
-pub mod phase;
-pub mod slo;
 
 use mak::framework::engine::EngineConfig;
 use mak_metrics::experiment::RunMatrix;

@@ -2,8 +2,9 @@
 //!
 //! [`FlightRecorder`](mak_obs::flight::FlightRecorder) folds a trace into
 //! a [`FlightReport`]; this module turns that report into the artifacts
-//! `mak-cli trace summarize` writes under `results/` — a markdown summary
-//! (identity, totals, cost breakdown, per-arm rewards, epoch advances,
+//! `mak-cli trace summarize` writes under `results/` (and the markdown
+//! `mak-cli profile` prints) — a markdown summary (identity, totals,
+//! per-phase cost breakdown, per-arm rewards, epoch advances,
 //! arm-usage timeline) and up to three [`LineChart`] SVGs: the coverage
 //! waterfall (annotated with Exp3.1 epoch advances), the arm-usage
 //! timeline, and the deque-depth trajectory. Everything here is a pure
@@ -170,11 +171,11 @@ fn markdown(report: &FlightReport, svgs: &[(String, String)]) -> String {
         .cost
         .rows()
         .iter()
-        .map(|(bucket, ms)| {
-            vec![(*bucket).to_owned(), fmt_ms_as_s(*ms), format!("{:.1}%", 100.0 * ms / total)]
+        .map(|(phase, ms)| {
+            vec![phase.to_string(), fmt_ms_as_s(*ms), format!("{:.1}%", 100.0 * ms / total)]
         })
         .collect();
-    let _ = writeln!(out, "{}", markdown_table(&["bucket", "seconds", "share"], &rows));
+    let _ = writeln!(out, "{}", markdown_table(&["phase", "seconds", "share"], &rows));
 
     if !report.span_phases.is_empty() {
         let _ = writeln!(out, "## Where the time goes (spans)\n");

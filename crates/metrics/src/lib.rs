@@ -14,7 +14,9 @@
 //!   multithreaded, deterministic per seed);
 //! - [`store`] — the content-addressed on-disk run cache that makes
 //!   repeated matrix executions incremental (`MAK_CACHE`);
-//! - [`report`] — markdown/CSV rendering and JSON persistence of results.
+//! - [`report`] — markdown/CSV rendering and JSON persistence of results;
+//! - [`flight`] — markdown and SVG rendering of a flight report, the
+//!   analysis of one run's event stream.
 //!
 //! ## Example: a miniature Table II
 //!
@@ -40,4 +42,3 @@ pub mod report;
 pub mod stats;
 pub mod store;
 pub mod timeseries;
-pub mod trace;

@@ -32,7 +32,6 @@
 //! - `off` — execute everything, touch nothing on disk.
 
 use mak::framework::engine::{CrawlReport, EngineConfig};
-use mak_obs::aggregate::Counter;
 use mak_obs::event::Event;
 use mak_obs::sink::SharedSink;
 use mak_telemetry::{Domain, TelemetryHandle};
@@ -182,6 +181,24 @@ pub fn workspace_fingerprint() -> u64 {
     })
 }
 
+/// A string-keyed counter.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Counter {
+    counts: BTreeMap<String, u64>,
+}
+
+impl Counter {
+    /// Adds `n` to `key`'s count.
+    pub fn add(&mut self, key: &str, n: u64) {
+        *self.counts.entry(key.to_owned()).or_insert(0) += n;
+    }
+
+    /// The count for `key` (0 when absent).
+    pub fn get(&self, key: &str) -> u64 {
+        self.counts.get(key).copied().unwrap_or(0)
+    }
+}
+
 /// Per-`(app, crawler)` cache accounting (see [`CacheStats::per_pair`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PairStats {
@@ -206,7 +223,7 @@ pub struct CacheStats {
 impl CacheStats {
     /// Entry counts per application, folded from the per-pair stats.
     pub fn per_app(&self) -> Counter {
-        let mut counter = Counter::new();
+        let mut counter = Counter::default();
         for ((app, _), stats) in &self.per_pair {
             counter.add(app, stats.entries as u64);
         }
@@ -215,7 +232,7 @@ impl CacheStats {
 
     /// Entry counts per crawler, folded from the per-pair stats.
     pub fn per_crawler(&self) -> Counter {
-        let mut counter = Counter::new();
+        let mut counter = Counter::default();
         for ((_, crawler), stats) in &self.per_pair {
             counter.add(crawler, stats.entries as u64);
         }

@@ -11,8 +11,9 @@
 //!   time it was made at;
 //! - **coverage waterfall** — `(t, lines)` after every step, annotated
 //!   with Exp3.1 epoch advances;
-//! - **cost breakdown** — virtual milliseconds attributed to the
-//!   fetch/think/interact/policy cost-model buckets;
+//! - **cost breakdown** — virtual milliseconds per leaf phase
+//!   ([`PhaseTotals`]), folded from the charges the events carry; for a
+//!   whole run it equals `CrawlReport.phase` bit for bit;
 //! - **reward distribution per arm** — count/mean/min/max of the rewards
 //!   each arm earned;
 //! - **deque-depth trajectory** — leveled-deque occupancy over time.
@@ -23,10 +24,48 @@
 //! workspace's observability tests additionally assert every variant of
 //! [`Event::ALL_KINDS`] is folded).
 
-use crate::aggregate::{BudgetProfile, RewardStats};
 use crate::event::Event;
 use crate::sink::EventSink;
+use crate::span::PhaseTotals;
 use std::collections::BTreeMap;
+
+/// Running min/max/mean of the rewards one arm earned.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RewardStats {
+    /// Number of samples folded in.
+    pub count: u64,
+    /// Sum of all samples.
+    pub sum: f64,
+    /// Smallest sample seen.
+    pub min: f64,
+    /// Largest sample seen.
+    pub max: f64,
+}
+
+impl Default for RewardStats {
+    fn default() -> Self {
+        RewardStats { count: 0, sum: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
+    }
+}
+
+impl RewardStats {
+    /// Folds one sample in.
+    pub fn record(&mut self, value: f64) {
+        self.count += 1;
+        self.sum += value;
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+    }
+
+    /// Mean of the samples (0.0 when empty).
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum / self.count as f64
+        }
+    }
+}
 
 /// One bandit arm choice on the virtual timeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,8 +163,9 @@ pub struct FlightReport {
     /// `SessionResumed` markers seen — 0 for an uninterrupted run, ≥ 1
     /// for a stream recorded after checkpoint/restore.
     pub resumes: u64,
-    /// Virtual-budget attribution per cost bucket.
-    pub cost: BudgetProfile,
+    /// Virtual-budget attribution per leaf phase, folded in event order
+    /// so it matches the browser's own `PhaseTotals` bit for bit.
+    pub cost: PhaseTotals,
     /// Every bandit arm choice, in order.
     pub arm_timeline: Vec<ArmChoice>,
     /// `(t, lines)` after every step, deduplicated to coverage changes
@@ -251,13 +291,13 @@ impl EventSink for FlightRecorder {
             }
             Event::PageFetched { fetch_ms, think_ms, interact_ms, .. } => {
                 r.pages += 1;
-                r.cost.fetch_ms += fetch_ms;
+                r.cost.render_ms += fetch_ms;
                 r.cost.think_ms += think_ms;
-                r.cost.interact_ms += interact_ms;
+                r.cost.extract_ms += interact_ms;
             }
             Event::RedirectFollowed { fetch_ms, .. } => {
                 r.redirects += 1;
-                r.cost.fetch_ms += fetch_ms;
+                r.cost.render_ms += fetch_ms;
             }
             Event::CoverageDelta { .. } => {
                 r.coverage_deltas += 1;
@@ -306,13 +346,13 @@ impl EventSink for FlightRecorder {
             Event::CellFinished { .. } => r.cells_finished += 1,
             Event::FaultInjected { wait_ms, .. } => {
                 r.faults_injected += 1;
-                // A failed attempt's wait is network time down the drain:
-                // attribute it to the fetch bucket.
-                r.cost.fetch_ms += wait_ms;
+                // A failed attempt's wait is network time down the drain,
+                // which the browser books under Render.
+                r.cost.render_ms += wait_ms;
             }
             Event::RetryScheduled { backoff_ms, .. } => {
                 r.retries += 1;
-                r.cost.fetch_ms += backoff_ms;
+                r.cost.backoff_ms += backoff_ms;
             }
             Event::FaultRecovered { .. } => r.fault_recoveries += 1,
             Event::SpanClosed { phase, dur_ms, .. } => {
@@ -400,10 +440,22 @@ mod tests {
         assert_eq!(r.epoch_advances, vec![EpochMark { t_ms: 1_472.0, epoch: 1, gamma: 0.5 }]);
         assert_eq!(r.deque_trajectory, vec![DequePoint { t_ms: 0.0, len: 7 }]);
         assert_eq!(r.deque_peak, 7);
-        assert!((r.cost.policy_ms - 4.0).abs() < 1e-12);
+        assert_eq!(r.cost.policy_ms, 4.0);
+        assert_eq!((r.cost.render_ms, r.cost.think_ms, r.cost.extract_ms), (100.0, 1_350.0, 20.0));
         assert!((r.cost.total_ms() - (4.0 + 100.0 + 1_350.0 + 20.0)).abs() < 1e-9);
         assert_eq!(r.rewards_per_arm["Head"].count, 1);
         assert_eq!(r.arms(), vec!["Head", "Tail"]);
+    }
+
+    #[test]
+    fn reward_stats_track_extremes_and_mean() {
+        let mut s = RewardStats::default();
+        s.record(0.2);
+        s.record(0.8);
+        assert_eq!(s.count, 2);
+        assert!((s.mean() - 0.5).abs() < 1e-12);
+        assert_eq!((s.min, s.max), (0.2, 0.8));
+        assert_eq!(RewardStats::default().mean(), 0.0);
     }
 
     #[test]

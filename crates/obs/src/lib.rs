@@ -23,16 +23,16 @@
 //!    entirely when no sink listens.
 //!
 //! Modules: [`event`] (the taxonomy), [`sink`] (the trait, handles, and
-//! JSONL/Vec sinks), [`aggregate`] (counters, histograms, and the
-//! budget-attribution profile), [`trace`] (streaming JSONL readback and
-//! stream diffing), [`flight`] (the flight-recorder analyzer), [`logger`]
-//! (the `MAK_LOG` stderr logger).
+//! JSONL/Vec sinks), [`span`] (spans and the [`PhaseTotals`] budget
+//! attribution), [`trace`] (streaming JSONL readback and stream diffing),
+//! [`flight`] (the flight recorder, the one fold from events to an
+//! analysis), [`perfetto`] (span export), [`logger`] (the `MAK_LOG` stderr
+//! logger).
 //!
 //! [`Event`]: event::Event
 //! [`EventSink`]: sink::EventSink
 //! [`CrawlReport`]: https://docs.rs/ (see `mak::framework::engine`)
 
-pub mod aggregate;
 pub mod event;
 pub mod flight;
 pub mod logger;
@@ -41,7 +41,6 @@ pub mod sink;
 pub mod span;
 pub mod trace;
 
-pub use aggregate::Aggregator;
 pub use event::Event;
 pub use flight::{FlightRecorder, FlightReport};
 pub use sink::{EventSink, JsonlSink, SharedSink, SinkHandle, VecSink};

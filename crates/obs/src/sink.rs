@@ -17,7 +17,7 @@
 //! Concrete sinks: [`JsonlSink`] (one event per line, deterministic
 //! because events carry only virtual time), [`VecSink`] (buffering, for
 //! tests and collectors), [`Fanout`] (duplicate a stream into several
-//! handles), plus [`crate::aggregate::Aggregator`].
+//! handles), plus [`crate::flight::FlightRecorder`].
 
 use crate::event::Event;
 use crate::span::{Phase, SpanState, SpanToken};

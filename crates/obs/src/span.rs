@@ -29,8 +29,9 @@
 //! [`PhaseTotals`] is the always-on counterpart: a fixed set of leaf
 //! phases whose virtual milliseconds partition a crawl's elapsed time
 //! exactly. The browser accumulates it unconditionally (a few float adds
-//! per navigation), the engine folds it into the `CrawlReport`, and the
-//! bench/regress layers gate on the per-phase *shares* it yields.
+//! per navigation), the engine folds it into the `CrawlReport`, the
+//! flight recorder rebuilds it from the event stream, and `regress`
+//! holds the per-app totals to an exact golden.
 
 use serde::{Deserialize, Serialize};
 

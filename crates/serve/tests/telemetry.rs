@@ -151,5 +151,6 @@ fn served_jsonl_streams_feed_the_flight_recorder_unchanged() {
     assert_eq!(flight.seed, session.report.seed);
     assert_eq!(flight.steps, session.steps);
     assert_eq!(flight.lines, session.report.final_lines_covered);
+    assert_eq!(flight.cost, session.report.phase, "one budget attribution, bit for bit");
     assert!(flight.events > 0);
 }

@@ -6,28 +6,36 @@
 //! cargo run --release --example policy_adaptation
 //! ```
 
-use mak_metrics::trace::{mean_reward_per_action, traced_run};
+use mak::framework::engine::{run_crawl_with_sink, EngineConfig};
+use mak_obs::flight::FlightRecorder;
+use mak_obs::sink::SinkHandle;
 
 fn main() {
     for app in ["hotcrp", "wordpress"] {
         println!("=== MAK on {app} (30 virtual minutes, 6 slices) ===");
-        let (report, usage) = traced_run("mak", app, 30.0, 11, 6).expect("known crawler and app");
+        let (sink, recorder) = SinkHandle::shared(FlightRecorder::new());
+        let mut crawler = mak::spec::build_crawler("mak", 11).expect("known crawler");
+        let model = mak_websim::apps::build(app).expect("known app");
+        let config = EngineConfig::with_budget_minutes(30.0);
+        let report = run_crawl_with_sink(&mut *crawler, model, &config, 11, &sink);
+        let flight = recorder.lock().unwrap().report().clone();
 
         println!("{:>10} {:>8} {:>8} {:>8}", "slice", "Head", "Tail", "Random");
-        for slice in &usage {
+        for (start_ms, counts) in flight.arm_usage_slices(6) {
+            let total = counts.values().sum::<u64>().max(1) as f64;
+            let share = |arm: &str| 100.0 * counts.get(arm).copied().unwrap_or(0) as f64 / total;
             println!(
                 "{:>7.0}min {:>7.0}% {:>7.0}% {:>7.0}%",
-                slice.start_secs / 60.0,
-                100.0 * slice.share("Head"),
-                100.0 * slice.share("Tail"),
-                100.0 * slice.share("Random"),
+                start_ms / 60_000.0,
+                share("Head"),
+                share("Tail"),
+                share("Random"),
             );
         }
 
-        let rewards = mean_reward_per_action(&report.trace);
         print!("mean reward:");
-        for (action, reward) in &rewards {
-            print!("  {action} {reward:.3}");
+        for (arm, stats) in &flight.rewards_per_arm {
+            print!("  {arm} {:.3}", stats.mean());
         }
         println!(
             "\ncovered {} lines with {} interactions\n",

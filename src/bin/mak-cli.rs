@@ -5,8 +5,9 @@
 //! mak-cli crawlers                   list the registered crawlers
 //! mak-cli crawl <app> [options]      run one crawl and print a report
 //! mak-cli compare <app> [options]    run every crawler on one app
-//! mak-cli profile <app> <crawler>    run one instrumented crawl and print where
-//!                                    the virtual budget went; --perfetto FILE
+//! mak-cli profile <app> <crawler>    run one instrumented crawl and print its
+//!                                    flight report (where the virtual budget
+//!                                    went, arm mix, rewards); --perfetto FILE
 //!                                    also records the hierarchical span tree
 //!                                    and writes it as Chrome/Perfetto
 //!                                    trace_events JSON (load at
@@ -73,8 +74,8 @@ use mak_metrics::ground_truth::UnionCoverage;
 use mak_metrics::report::markdown_table;
 use mak_metrics::stats::mean;
 use mak_metrics::store::RunStore;
-use mak_obs::aggregate::Aggregator;
-use mak_obs::sink::{JsonlSink, SinkHandle};
+use mak_obs::flight::FlightRecorder;
+use mak_obs::sink::{EventSink, JsonlSink, SinkHandle};
 use mak_websim::apps;
 use std::process::ExitCode;
 
@@ -259,10 +260,10 @@ fn cmd_trace_summarize(path: &str) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut recorder = mak_obs::FlightRecorder::new();
+    let mut recorder = FlightRecorder::new();
     for ev in iter {
         match ev {
-            Ok(ev) => mak_obs::EventSink::on_event(&mut recorder, &ev),
+            Ok(ev) => recorder.on_event(&ev),
             Err(e) => {
                 eprintln!("{path}: {e}");
                 return ExitCode::FAILURE;
@@ -329,7 +330,6 @@ fn cmd_trace_diff(left: &str, right: &str) -> ExitCode {
 }
 
 fn cmd_trace_check(path: &str) -> ExitCode {
-    use mak_obs::sink::EventSink;
     use mak_testkit::oracle::InvariantOracle;
     let iter = match mak_obs::trace::read(path) {
         Ok(it) => it,
@@ -638,92 +638,37 @@ fn cmd_profile(app: &str, crawler_name: &str, opts: &Options) -> ExitCode {
     };
     let config = EngineConfig::with_budget_minutes(opts.minutes.unwrap_or(30.0));
     let started = std::time::Instant::now();
-    let agg = match &opts.perfetto {
-        // A Perfetto export needs the raw span events, so buffer the
-        // stream and fold the aggregate afterwards; the span machinery is
-        // only switched on here, keeping the plain profile zero-overhead.
-        Some(path) => {
-            use mak_obs::sink::EventSink;
-            let (handle, cell) = SinkHandle::shared(mak_obs::sink::VecSink::new());
-            let handle = handle.with_spans();
-            run_crawl_with_sink(&mut *crawler, app_model, &config, opts.seed, &handle);
-            drop(crawler);
-            drop(handle);
-            let cell = cell.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            let mut trace = mak_obs::perfetto::PerfettoTrace::new(format!(
-                "{app} / {crawler_name} / seed {}",
-                opts.seed
-            ));
-            let mut agg = Aggregator::new();
-            for event in cell.events() {
-                trace.push(event);
-                agg.on_event(event);
-            }
-            if let Err(e) = std::fs::write(path, trace.to_json()) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("[wrote {path}: {} spans]", trace.len());
-            agg
-        }
-        None => {
-            let (handle, cell) = SinkHandle::shared(Aggregator::new());
-            run_crawl_with_sink(&mut *crawler, app_model, &config, opts.seed, &handle);
-            drop(crawler);
-            drop(handle);
-            let mutex = std::sync::Arc::try_unwrap(cell)
-                .unwrap_or_else(|_| panic!("all sink clones dropped"));
-            mutex.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner)
-        }
-    };
+    // Spans are only switched on for a Perfetto export, keeping the plain
+    // profile zero-overhead; either way the flight recorder folds the
+    // stream.
+    let (sink, cell) = SinkHandle::shared(mak_obs::sink::VecSink::new());
+    let sink = if opts.perfetto.is_some() { sink.with_spans() } else { sink };
+    run_crawl_with_sink(&mut *crawler, app_model, &config, opts.seed, &sink);
     let wall = started.elapsed();
-
-    println!(
-        "{} on {} (seed {}): {} steps, {} pages (+{} redirects), {} lines, {:.0}s virtual",
-        agg.crawler,
-        agg.app,
-        agg.seed,
-        agg.steps,
-        agg.pages,
-        agg.redirects,
-        agg.lines,
-        agg.elapsed_ms / 1000.0,
-    );
-    println!("\nvirtual budget breakdown:");
-    let elapsed = agg.elapsed_ms.max(1.0);
-    for (bucket, ms) in agg.profile.rows() {
-        println!("  {bucket:<9} {:>9.1}s  {:>5.1}%", ms / 1000.0, 100.0 * ms / elapsed);
+    let events = cell.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut recorder = FlightRecorder::new();
+    for event in events.events() {
+        recorder.on_event(event);
     }
-    if agg.spans > 0 {
-        println!("\nspan phase attribution ({} spans):", agg.spans);
-        for (phase, ms) in agg.span_phase_ms.iter() {
-            println!("  {phase:<20} {:>9.1}s  {:>5.1}%", ms / 1000.0, 100.0 * ms / elapsed);
+    if let Some(path) = &opts.perfetto {
+        let mut trace = mak_obs::perfetto::PerfettoTrace::new(format!(
+            "{app} / {crawler_name} / seed {}",
+            opts.seed
+        ));
+        for event in events.events() {
+            trace.push(event);
         }
+        if let Err(e) = std::fs::write(path, trace.to_json()) {
+            eprintln!("cannot write {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+        println!("[wrote {path}: {} spans]", trace.len());
     }
-    if !agg.steps_per_arm.is_empty() {
-        println!("\nper-arm usage:");
-        for (arm, count) in agg.steps_per_arm.iter() {
-            let mean = agg.rewards_per_arm.get(arm).map(|s| s.mean()).unwrap_or(0.0);
-            println!("  {arm:<24} {count:>5} steps  mean reward {mean:.3}");
-        }
-    }
-    println!("\npage cost histogram (ms):");
-    for (label, count) in agg.fetch_cost.rows() {
-        if count > 0 {
-            println!("  {label:<9} {count:>5}");
-        }
-    }
-    println!("\npeak deque depth : {}", agg.deque_peak);
-    println!("exp3.1 epochs    : max {} ({} advances)", agg.max_epoch, agg.epoch_advances);
-    println!("throughput       : {:.1} steps / virtual s", agg.steps_per_virtual_sec());
-    println!("wall time        : {:.3}s ({:.0}x real time)", wall.as_secs_f64(), {
-        let w = wall.as_secs_f64();
-        if w > 0.0 {
-            (agg.elapsed_ms / 1000.0) / w
-        } else {
-            f64::INFINITY
-        }
-    });
+    let report = recorder.into_report();
+    println!("{}", mak_metrics::flight::render(&report).markdown);
+    let w = wall.as_secs_f64();
+    let speedup = if w > 0.0 { (report.elapsed_ms / 1000.0) / w } else { f64::INFINITY };
+    println!("wall time: {w:.3}s ({speedup:.0}x real time)");
     ExitCode::SUCCESS
 }
 

@@ -4,18 +4,20 @@
 //!   they never steer;
 //! - the JSONL event stream is byte-identical across reruns and across
 //!   thread counts, because events carry only virtual-clock time;
-//! - the legacy `record_trace` analyses (`usage_over_time`,
-//!   `mean_reward_per_action`) computed from the event stream agree with
-//!   the ones computed from the recorded trace, for every crawler;
+//! - the event stream rebuilds the legacy `record_trace` log exactly, and
+//!   the flight recorder's cost fold equals the engine's `PhaseTotals`
+//!   bit for bit, for every crawler, with and without injected faults;
 //! - the trace tooling round-trips: a recorded stream reads back
 //!   losslessly, `first_divergence` finds nothing between identical-seed
 //!   runs and pinpoints an injected perturbation at its exact index, the
 //!   flight-recorder rendering is byte-identical across reruns, and every
 //!   `Event` variant is covered by the analyzer.
 
-use mak::framework::engine::{run_crawl, run_crawl_with_sink, CrawlReport, EngineConfig};
+use mak::framework::engine::{
+    run_crawl, run_crawl_with_sink, CrawlReport, EngineConfig, TraceEntry,
+};
 use mak::spec::{build_crawler, CRAWLER_NAMES};
-use mak_metrics::trace::{events_to_trace, mean_reward_per_action, usage_over_time};
+use mak_browser::fault::FaultPlan;
 use mak_obs::event::Event;
 use mak_obs::flight::FlightRecorder;
 use mak_obs::sink::{EventSink, JsonlSink, SinkHandle, VecSink};
@@ -44,12 +46,10 @@ fn traced_crawl(crawler: &str, seed: u64) -> (CrawlReport, Vec<u8>) {
 }
 
 /// Runs one crawl with a buffering sink, returning the report and events.
-fn event_crawl(crawler: &str, seed: u64, record_trace: bool) -> (CrawlReport, Vec<Event>) {
-    let mut cfg = config();
-    cfg.record_trace = record_trace;
+fn event_crawl(crawler: &str, seed: u64, cfg: &EngineConfig) -> (CrawlReport, Vec<Event>) {
     let (handle, cell) = SinkHandle::shared(VecSink::new());
     let mut c = build_crawler(crawler, seed).expect("known crawler");
-    let report = run_crawl_with_sink(&mut *c, apps::build(APP).unwrap(), &cfg, seed, &handle);
+    let report = run_crawl_with_sink(&mut *c, apps::build(APP).unwrap(), cfg, seed, &handle);
     let events = cell.lock().unwrap().events().to_vec();
     (report, events)
 }
@@ -59,7 +59,7 @@ fn report_is_identical_with_and_without_a_sink() {
     for crawler in CRAWLER_NAMES {
         let mut plain = build_crawler(crawler, 5).unwrap();
         let baseline = run_crawl(&mut *plain, apps::build(APP).unwrap(), &config(), 5);
-        let (observed, events) = event_crawl(crawler, 5, false);
+        let (observed, events) = event_crawl(crawler, 5, &config());
         assert_eq!(baseline, observed, "{crawler}: sink must not alter the report");
         assert!(
             events.iter().any(|e| matches!(e, Event::RunFinished { .. })),
@@ -94,24 +94,38 @@ fn jsonl_stream_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn event_stream_reproduces_the_legacy_trace_analyses() {
-    for crawler in CRAWLER_NAMES {
-        let (report, events) = event_crawl(crawler, 3, true);
-        let from_events = events_to_trace(&events);
-        assert_eq!(
-            report.trace, from_events,
-            "{crawler}: StepFinished events must rebuild the recorded trace exactly"
-        );
-        let horizon = MINUTES * 60.0;
-        assert_eq!(
-            usage_over_time(&report.trace, horizon, 4),
-            usage_over_time(&from_events, horizon, 4),
-            "{crawler}: usage_over_time agrees"
-        );
-        assert_eq!(
-            mean_reward_per_action(&report.trace),
-            mean_reward_per_action(&from_events),
-            "{crawler}: mean_reward_per_action agrees"
-        );
+    for plan in ["none", "moderate"] {
+        for crawler in CRAWLER_NAMES {
+            let mut cfg = config();
+            cfg.record_trace = true;
+            cfg.faults = FaultPlan::profile(plan).expect("registered profile");
+            let (report, events) = event_crawl(crawler, 3, &cfg);
+            let from_events: Vec<TraceEntry> = events
+                .iter()
+                .filter_map(|event| match event {
+                    Event::StepFinished { t_ms, action, reward, .. } => Some(TraceEntry {
+                        secs: t_ms / 1000.0,
+                        action: action.clone(),
+                        reward: *reward,
+                    }),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(
+                report.trace, from_events,
+                "{crawler}: StepFinished events must rebuild the recorded trace exactly"
+            );
+            let mut recorder = FlightRecorder::new();
+            for event in &events {
+                recorder.on_event(event);
+            }
+            assert_eq!(
+                recorder.report().cost,
+                report.phase,
+                "{crawler}: the flight recorder's cost is the engine's phase attribution, \
+                 bit for bit (faults: {plan})"
+            );
+        }
     }
 }
 
@@ -124,7 +138,7 @@ fn parse_stream(bytes: &[u8]) -> Vec<Event> {
 
 #[test]
 fn recorded_stream_reads_back_losslessly() {
-    let (_, events) = event_crawl("mak", 7, false);
+    let (_, events) = event_crawl("mak", 7, &config());
     let (_, bytes) = traced_crawl("mak", 7);
     assert_eq!(parse_stream(&bytes), events, "JSONL round trip is lossless");
 }
@@ -138,7 +152,7 @@ fn identical_seed_runs_have_no_divergence() {
 
 #[test]
 fn injected_perturbation_is_reported_at_its_exact_index() {
-    let (_, events) = event_crawl("mak", 9, false);
+    let (_, events) = event_crawl("mak", 9, &config());
     // Perturb one event deep in the stream; diff must name that exact
     // index and echo both payloads.
     let index = events.len() / 2;
@@ -272,7 +286,7 @@ fn stream_carries_only_virtual_time() {
     // Every event's times are derived from the virtual clock, so the
     // stream's final timestamp matches the report's virtual elapsed time
     // and nothing resembles a wall-clock epoch.
-    let (report, events) = event_crawl("mak", 11, false);
+    let (report, events) = event_crawl("mak", 11, &config());
     let last = events.iter().rev().find_map(|e| match e {
         Event::RunFinished { t_ms, .. } => Some(*t_ms),
         _ => None,
@@ -280,4 +294,64 @@ fn stream_carries_only_virtual_time() {
     // `elapsed_secs` is exactly `t_ms / 1000.0`, so compare in seconds to
     // avoid the non-associative `x / 1000 * 1000` round trip.
     assert_eq!(last.map(|t| t / 1000.0), Some(report.elapsed_secs));
+}
+
+#[test]
+fn no_truncation_or_bit_flip_of_a_committed_trace_panics() {
+    // Trace files are a trust boundary: every truncation and every
+    // single-bit flip of the committed fixtures must end in a typed read
+    // error or a rendered flight report, never a panic. The reader is
+    // line-local, so each case re-reads only the lines the corruption
+    // touched and splices in the recorder state folded from the intact
+    // lines before them and the events read from the intact lines after.
+    for name in ["pre_span_trace.jsonl", "resumed_trace.jsonl"] {
+        let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+        let bytes = std::fs::read(&path).expect("fixture reads");
+        let mut starts = vec![0];
+        starts.extend(bytes.iter().enumerate().filter(|(_, b)| **b == b'\n').map(|(i, _)| i + 1));
+        if starts.last() != Some(&bytes.len()) {
+            starts.push(bytes.len());
+        }
+        let lines = starts.len() - 1;
+        let events: Vec<Event> = mak_obs::trace::read(&path)
+            .expect("fixture opens")
+            .map(|ev| ev.expect("intact fixture parses"))
+            .collect();
+        assert_eq!(events.len(), lines, "{name}: one event per line");
+        let mut prefixes = vec![FlightRecorder::new()];
+        for event in &events {
+            let mut next = prefixes.last().unwrap().clone();
+            next.on_event(event);
+            prefixes.push(next);
+        }
+
+        // Re-reads `region`, then folds `rest`, then renders; stops at the
+        // first typed error.
+        let case = |line: usize, region: &[u8], rest: &[Event]| {
+            let mut rec = prefixes[line].clone();
+            for ev in TraceIter::new(region) {
+                match ev {
+                    Ok(ev) => rec.on_event(&ev),
+                    Err(_) => return,
+                }
+            }
+            for ev in rest {
+                rec.on_event(ev);
+            }
+            let rendered = mak_metrics::flight::render(rec.report());
+            assert!(rendered.markdown.starts_with("# Flight report"));
+        };
+        let mut flipped = bytes.clone();
+        for line in 0..lines {
+            let (start, end) = (starts[line], starts[line + 1]);
+            for at in start..end {
+                case(line, &bytes[start..at], &[]);
+                // Flipping a newline joins this line with the next.
+                let last = if at + 1 == end && line + 1 < lines { line + 1 } else { line };
+                flipped[at] ^= 1;
+                case(line, &flipped[start..starts[last + 1]], &events[last + 1..]);
+                flipped[at] ^= 1;
+            }
+        }
+    }
 }
