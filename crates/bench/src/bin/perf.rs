@@ -7,26 +7,26 @@
 //!
 //! Besides the paper table, this binary profiles the harness itself into
 //! `results/BENCH_perf.json`: the source fingerprint of the build, per-cell
-//! wall-clock milliseconds and steps/second (from the `CellFinished` event
-//! stream of [`run_matrix_cached_observed`]), the session cache hit rate,
-//! and per-app virtual-time phase totals (`phase_by_app`), which `regress`
-//! holds exactly to `results/phase_gate.json`.
+//! wall-clock milliseconds and steps/second (the cells returned by
+//! [`run_matrix_cells`]), the session cache hit rate, and per-app
+//! virtual-time phase totals (`phase_by_app`), which `regress` holds
+//! exactly to `results/phase_gate.json`.
 
 use mak::spec::RL_CRAWLERS;
 use mak_bench::gate::{fingerprint, AppPhases};
 use mak_bench::{matrix, seeds, store, threads, write_result, write_summaries};
-use mak_metrics::experiment::run_matrix_cached_observed;
+use mak_metrics::experiment::run_matrix_cells;
 use mak_metrics::report::{markdown_table, RunSummary};
 use mak_metrics::stats::{mean, sample_std};
-use mak_obs::event::Event;
-use mak_obs::sink::{SharedSink, VecSink};
 use mak_obs::span::PhaseTotals;
 use mak_websim::apps;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// One matrix cell's harness cost, from its `CellFinished` event.
+/// One matrix cell's harness cost, from its [`MatrixCell`].
+///
+/// [`MatrixCell`]: mak_metrics::experiment::MatrixCell
 #[derive(Debug, Serialize)]
 struct PerfCell {
     app: String,
@@ -79,8 +79,8 @@ fn main() {
         threads()
     );
     let store = store();
-    let (cell_sink, cells_collected) = SharedSink::shared(VecSink::new());
-    let reports = run_matrix_cached_observed(&m, threads(), &store, &cell_sink);
+    let matrix_cells = run_matrix_cells(&m, threads(), &store);
+    let reports: Vec<_> = matrix_cells.iter().map(|cell| &cell.report).collect();
 
     let mut rows = Vec::new();
     for crawler in RL_CRAWLERS {
@@ -117,48 +117,32 @@ fn main() {
     let _ = writeln!(out, "Paper reference: MAK 883, WebExplor 854, QExplore 827.");
     println!("{out}");
     write_result("perf.md", &out);
-    let summaries: Vec<RunSummary> = reports.iter().map(RunSummary::from).collect();
+    let summaries: Vec<RunSummary> = reports.iter().copied().map(RunSummary::from).collect();
     write_summaries("perf_runs.json", &summaries);
 
-    // Harness-profiling artifact. Cell order follows the worker schedule,
-    // so sort for a stable layout (the wall-clock values themselves are
+    // Harness-profiling artifact. Cells come back in grid order; sort
+    // for a stable layout (the wall-clock values themselves are
     // inherently run-dependent). Phase breakdowns come from the reports
-    // (deterministic and cached), keyed per cell.
-    let report_phases: BTreeMap<(&str, &str, u64), PhaseTotals> =
-        reports.iter().map(|r| ((r.app.as_str(), r.crawler.as_str(), r.seed), r.phase)).collect();
-    let mut cells: Vec<PerfCell> = cells_collected
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .events()
+    // (deterministic and cached).
+    let mut cells: Vec<PerfCell> = matrix_cells
         .iter()
-        .filter_map(|event| match event {
-            Event::CellFinished {
-                app,
-                crawler,
-                seed,
-                wall_ms,
-                virtual_secs,
-                interactions,
-                cached,
-            } => Some(PerfCell {
-                app: app.clone(),
-                crawler: crawler.clone(),
-                seed: *seed,
-                wall_ms: *wall_ms,
-                virtual_secs: *virtual_secs,
-                interactions: *interactions,
-                steps_per_sec: if *wall_ms > 0.0 {
-                    *interactions as f64 / (*wall_ms / 1000.0)
+        .map(|cell| {
+            let r = &cell.report;
+            PerfCell {
+                app: r.app.clone(),
+                crawler: r.crawler.clone(),
+                seed: r.seed,
+                wall_ms: cell.wall_ms,
+                virtual_secs: r.elapsed_secs,
+                interactions: r.interactions,
+                steps_per_sec: if cell.wall_ms > 0.0 {
+                    r.interactions as f64 / (cell.wall_ms / 1000.0)
                 } else {
                     0.0
                 },
-                cached: *cached,
-                phase: report_phases
-                    .get(&(app.as_str(), crawler.as_str(), *seed))
-                    .copied()
-                    .unwrap_or_default(),
-            }),
-            _ => None,
+                cached: cell.cached,
+                phase: r.phase,
+            }
         })
         .collect();
     cells.sort_by(|a, b| (&a.app, &a.crawler, a.seed).cmp(&(&b.app, &b.crawler, b.seed)));

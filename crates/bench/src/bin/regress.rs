@@ -24,8 +24,7 @@ use mak::framework::engine::EngineConfig;
 use mak::spec::CRAWLER_NAMES;
 use mak_bench::gate::{self, measure, Artifact, CellResult, GateConfig};
 use mak_bench::{results_dir, store, threads, write_result};
-use mak_metrics::experiment::{run_matrix_cached_observed, RunMatrix};
-use mak_obs::sink::{SharedSink, VecSink};
+use mak_metrics::experiment::{run_matrix_cells, RunMatrix};
 use mak_websim::apps;
 use std::process::ExitCode;
 
@@ -60,11 +59,8 @@ fn main() -> ExitCode {
         threads()
     );
 
-    let (cell_sink, cells_collected) = SharedSink::shared(VecSink::new());
-    let reports = run_matrix_cached_observed(&m, threads(), &store(), &cell_sink);
-    let events =
-        cells_collected.lock().unwrap_or_else(std::sync::PoisonError::into_inner).events().to_vec();
-    let bench = measure(reports.iter().map(CellResult::from), events.iter(), config);
+    let cells = run_matrix_cells(&m, threads(), &store());
+    let bench = measure(cells.iter().map(CellResult::from), config);
     write_result(
         "BENCH_coverage.json",
         &serde_json::to_string_pretty(&bench).expect("bench serializes"),

@@ -28,10 +28,9 @@
 //! The vendored serde has no map types, so every persisted collection
 //! here is a `Vec` of named-field structs sorted on its natural key.
 
-use mak::framework::engine::CrawlReport;
+use mak_metrics::experiment::MatrixCell;
 use mak_metrics::regret::{cumulative_regret, AppOutcome};
 use mak_metrics::stats::mean;
-use mak_obs::event::Event;
 use mak_obs::span::PhaseTotals;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -398,7 +397,7 @@ impl GateConfig {
 }
 
 /// One matrix cell's inputs to the gate — the deterministic outcome of a
-/// single run.
+/// single run, plus the wall-clock cost of producing it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellResult {
     /// Application name.
@@ -411,16 +410,24 @@ pub struct CellResult {
     pub interactions: u64,
     /// The app's declared total lines (regret denominator).
     pub total_lines: u64,
+    /// Wall-clock milliseconds the harness spent on the cell.
+    pub wall_ms: f64,
+    /// Whether the run cache served the cell (its `wall_ms` then times
+    /// a lookup, not a crawl, and stays out of the perf envelope).
+    pub cached: bool,
 }
 
-impl From<&CrawlReport> for CellResult {
-    fn from(r: &CrawlReport) -> Self {
+impl From<&MatrixCell> for CellResult {
+    fn from(cell: &MatrixCell) -> Self {
+        let r = &cell.report;
         CellResult {
             app: r.app.clone(),
             crawler: r.crawler.clone(),
             lines: r.final_lines_covered,
             interactions: r.interactions,
             total_lines: r.total_declared_lines,
+            wall_ms: cell.wall_ms,
+            cached: cell.cached,
         }
     }
 }
@@ -584,19 +591,25 @@ impl From<Baselines> for Metrics {
     }
 }
 
-/// Folds matrix results plus the bench-side `CellFinished` stream into a
-/// [`CoverageBench`] stamped with this build's fingerprint. `cells` may
-/// be empty (no perf envelope recorded).
-pub fn measure<'a>(
-    results: impl IntoIterator<Item = CellResult>,
-    cells: impl IntoIterator<Item = &'a Event>,
-    config: GateConfig,
-) -> CoverageBench {
+/// Folds matrix cells into a [`CoverageBench`] stamped with this build's
+/// fingerprint. Only fresh (uncached) cells enter the perf envelope.
+pub fn measure(cells: impl IntoIterator<Item = CellResult>, config: GateConfig) -> CoverageBench {
     /// Per-pair accumulator: per-seed lines and interactions, plus the
     /// app's declared total (the regret denominator).
     type PairRuns = (Vec<f64>, Vec<f64>, u64);
     let mut grouped: BTreeMap<(String, String), PairRuns> = BTreeMap::new();
-    for cell in results {
+    let mut wall = Vec::new();
+    let mut rate = Vec::new();
+    let mut app_rates: BTreeMap<String, Vec<f64>> = BTreeMap::new();
+    for cell in cells {
+        if !cell.cached {
+            wall.push(cell.wall_ms);
+            if cell.wall_ms > 0.0 {
+                let r = cell.interactions as f64 / (cell.wall_ms / 1000.0);
+                rate.push(r);
+                app_rates.entry(cell.app.clone()).or_default().push(r);
+            }
+        }
         let entry = grouped
             .entry((cell.app, cell.crawler))
             .or_insert_with(|| (Vec::new(), Vec::new(), cell.total_lines));
@@ -628,19 +641,6 @@ pub fn measure<'a>(
         .map(|(crawler, cumulative_pct)| CrawlerRegret { crawler, cumulative_pct })
         .collect();
 
-    let mut wall = Vec::new();
-    let mut rate = Vec::new();
-    let mut app_rates: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
-    for event in cells {
-        if let Event::CellFinished { app, wall_ms, interactions, cached: false, .. } = event {
-            wall.push(*wall_ms);
-            if *wall_ms > 0.0 {
-                let r = *interactions as f64 / (*wall_ms / 1000.0);
-                rate.push(r);
-                app_rates.entry(app.as_str()).or_default().push(r);
-            }
-        }
-    }
     let perf = PerfEnvelope {
         fresh_cells: wall.len() as u64,
         mean_wall_ms: if wall.is_empty() { 0.0 } else { mean(&wall) },
@@ -648,7 +648,7 @@ pub fn measure<'a>(
     };
     let app_perf: Vec<AppPerf> = app_rates
         .iter()
-        .map(|(app, rates)| AppPerf { app: (*app).to_owned(), mean_steps_per_sec: mean(rates) })
+        .map(|(app, rates)| AppPerf { app: app.clone(), mean_steps_per_sec: mean(rates) })
         .collect();
 
     CoverageBench { fingerprint: fingerprint(), config, pairs, regret, perf, app_perf }
@@ -658,42 +658,39 @@ pub fn measure<'a>(
 mod tests {
     use super::*;
 
-    fn cell(app: &str, crawler: &str, lines: u64, interactions: u64) -> CellResult {
+    /// A cell that took `wall_ms` fresh, or `None` when served cached.
+    fn cell(
+        app: &str,
+        crawler: &str,
+        lines: u64,
+        interactions: u64,
+        wall: Option<f64>,
+    ) -> CellResult {
         CellResult {
             app: app.into(),
             crawler: crawler.into(),
             lines,
             interactions,
             total_lines: 1_000,
-        }
-    }
-
-    fn fresh(app: &str, wall_ms: f64, cached: bool) -> Event {
-        Event::CellFinished {
-            app: app.into(),
-            crawler: "mak".into(),
-            seed: 0,
-            wall_ms,
-            virtual_secs: 300.0,
-            interactions: 1_000,
-            cached,
+            wall_ms: wall.unwrap_or(0.1),
+            cached: wall.is_none(),
         }
     }
 
     fn coverage_bench() -> CoverageBench {
+        // 100k steps/sec on each app's fresh cells; the cached cells
+        // (0.1 ms lookups would read as ~1M steps/sec) are ignored.
         let cells = [
-            cell("a", "mak", 900, 100),
-            cell("a", "mak", 920, 104),
-            cell("a", "bfs", 700, 90),
-            cell("a", "bfs", 700, 90),
-            cell("b", "mak", 500, 60),
-            cell("b", "mak", 500, 60),
-            cell("b", "bfs", 550, 70),
-            cell("b", "bfs", 550, 70),
+            cell("a", "mak", 900, 100, Some(1.0)),
+            cell("a", "mak", 920, 104, None),
+            cell("a", "bfs", 700, 90, None),
+            cell("a", "bfs", 700, 90, None),
+            cell("b", "mak", 500, 60, None),
+            cell("b", "mak", 500, 60, None),
+            cell("b", "bfs", 550, 70, Some(0.7)),
+            cell("b", "bfs", 550, 70, None),
         ];
-        // 100k steps/sec on each app; the cached cell is ignored.
-        let events = [fresh("a", 10.0, false), fresh("b", 10.0, false), fresh("b", 0.1, true)];
-        measure(cells, events.iter(), GateConfig { seeds: 2, budget_minutes: 5.0 })
+        measure(cells, GateConfig { seeds: 2, budget_minutes: 5.0 })
     }
 
     /// The blessed metrics of each artifact, from fixture reports.
@@ -745,7 +742,7 @@ mod tests {
     fn the_gate_table() {
         use Artifact::{Coverage, Phase, Serve};
         let bench = coverage_bench();
-        assert_eq!((bench.perf.fresh_cells, bench.perf.mean_wall_ms), (2, 10.0));
+        assert_eq!((bench.perf.fresh_cells, bench.perf.mean_wall_ms), (2, 0.85));
         let coverage = blessed(Coverage);
         // Seed means and regret ranking: mak loses 5 points on b, bfs 21 on a.
         assert_eq!(coverage.values["lines/a/mak"], 910.0);

@@ -32,7 +32,7 @@ pub enum BrowseError {
     /// The target URL leaves the application's origin; the action is
     /// invalid per §V-A assumption ii.
     ExternalDomain(Url),
-    /// A same-origin redirect chain exceeded [`MAX_REDIRECTS`] hops — a
+    /// A same-origin redirect chain exceeded `MAX_REDIRECTS` hops — a
     /// redirect loop, surfaced as a typed error instead of a silently
     /// truncated error page.
     TooManyRedirects(Url),

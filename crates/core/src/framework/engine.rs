@@ -5,6 +5,10 @@
 //! of §V-A: it deploys the application ([`AppHost`]), wraps it in a
 //! [`Browser`] with a [`VirtualClock`], charges per-decision policy
 //! overhead, and samples the live coverage time series that Fig. 2 plots.
+//!
+//! [`AppHost`]: mak_websim::server::AppHost
+//! [`Browser`]: mak_browser::client::Browser
+//! [`VirtualClock`]: mak_browser::clock::VirtualClock
 
 use crate::framework::crawler::Crawler;
 use mak_browser::cost::CostModel;
@@ -152,8 +156,10 @@ pub fn run_crawl(
 
 /// Like [`run_crawl`], but wires `sink` through the whole stack for the
 /// duration of the run: the engine emits `RunStarted`, `StepStarted`,
-/// `RewardComputed`, `StepFinished`, and `RunFinished`; the [`Browser`],
-/// [`AppHost`], and the crawler's policy add their own events (see
+/// `RewardComputed`, `StepFinished`, and `RunFinished`; the
+/// [`Browser`](mak_browser::client::Browser),
+/// [`AppHost`](mak_websim::server::AppHost), and the crawler's policy add
+/// their own events (see
 /// `mak_obs::event::Event` for the taxonomy).
 ///
 /// Sinks are strictly observational: the returned [`CrawlReport`] is

@@ -156,16 +156,6 @@ impl<S: StateAbstraction> QCrawler<S> {
         self
     }
 
-    /// Times the crawler restarted from the seed URL after a dead end.
-    pub fn restart_count(&self) -> u64 {
-        self.restarts
-    }
-
-    /// The underlying Q-table.
-    pub fn q_table(&self) -> &QTable {
-        &self.q
-    }
-
     /// Re-opens the seed. `Ok(None)` means a transient fault spoiled the
     /// fetch: the attempt's time is charged and the caller should retry on
     /// the next step.

@@ -268,7 +268,7 @@ impl<'c> Session<'c> {
     /// # Errors
     ///
     /// When the crawler does not implement
-    /// [`Crawler::snapshot_state`](crate::framework::crawler::Crawler::snapshot_state).
+    /// [`Crawler::snapshot_state`].
     pub fn snapshot(&self) -> Result<SessionCheckpoint, serde::Error> {
         let crawler = self.crawler.get_ref();
         let crawler_state = crawler.snapshot_state().ok_or_else(|| {

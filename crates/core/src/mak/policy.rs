@@ -114,15 +114,6 @@ impl ArmPolicy {
         }
     }
 
-    /// The inner Exp3.1 learner, when this policy is Exp3.1 — used by the
-    /// testkit oracle for simplex and epoch-bound checks.
-    pub fn as_exp31(&self) -> Option<&Exp31> {
-        match self {
-            ArmPolicy::Exp31(p) => Some(p),
-            _ => None,
-        }
-    }
-
     /// Mutable access to the inner Exp3.1 learner, for testkit fault
     /// injection only.
     pub fn as_exp31_mut(&mut self) -> Option<&mut Exp31> {

@@ -6,6 +6,8 @@
 //! that grid; [`run_matrix`] executes it across worker threads, and
 //! [`run_matrix_cached`] additionally serves cells out of a [`RunStore`]
 //! (see [`crate::store`]) so repeated invocations only pay for new cells.
+//! [`run_matrix_cells`] also returns each cell's harness cost — wall-clock
+//! milliseconds and whether the store served it — as plain data.
 //! Every run is deterministic in its `(app, crawler, seed)` triple, so
 //! repetitions are just seeds `0..n` — which is exactly what makes the
 //! cache sound.
@@ -13,9 +15,7 @@
 use crate::store::RunStore;
 use mak::framework::engine::{run_crawl, CrawlReport, EngineConfig};
 use mak::spec::build_crawler;
-use mak_obs::event::Event;
 use mak_obs::logger::{enabled, Level};
-use mak_obs::sink::SharedSink;
 use mak_websim::apps;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -62,6 +62,20 @@ impl RunMatrix {
     pub fn run_count(&self) -> usize {
         self.apps.len() * self.crawlers.len() * self.seeds as usize
     }
+}
+
+/// One finished matrix cell: its report plus what producing it cost the
+/// harness.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MatrixCell {
+    /// The cell's crawl report.
+    pub report: CrawlReport,
+    /// **Wall-clock** milliseconds spent producing the cell: the cache
+    /// lookup, plus the crawl and the cache write on a miss. Host time,
+    /// so it never enters the report or any event stream.
+    pub wall_ms: f64,
+    /// Whether the store served the cell without executing it.
+    pub cached: bool,
 }
 
 /// Executes one cell of the matrix.
@@ -202,7 +216,7 @@ impl Progress {
 /// Panics if `threads` is zero or any name in the matrix is unknown; the
 /// failing `(app, crawler, seed)` cell is named in the panic message.
 pub fn run_matrix(matrix: &RunMatrix, threads: usize) -> Vec<CrawlReport> {
-    run_matrix_inner(matrix, threads, &RunStore::disabled(), false, &SharedSink::none())
+    reports(run_matrix_inner(matrix, threads, &RunStore::disabled(), false))
 }
 
 /// Runs the matrix through a [`RunStore`]: cells the store already holds
@@ -218,27 +232,24 @@ pub fn run_matrix(matrix: &RunMatrix, threads: usize) -> Vec<CrawlReport> {
 /// Panics if `threads` is zero or any name in the matrix is unknown; the
 /// failing `(app, crawler, seed)` cell is named in the panic message.
 pub fn run_matrix_cached(matrix: &RunMatrix, threads: usize, store: &RunStore) -> Vec<CrawlReport> {
-    run_matrix_inner(matrix, threads, store, true, &SharedSink::none())
+    reports(run_matrix_cells(matrix, threads, store))
 }
 
-/// [`run_matrix_cached`] plus observability: every finished cell emits an
-/// [`Event::CellFinished`] into `sink`, carrying per-cell wall-clock
-/// milliseconds, virtual seconds, interactions, and whether the cell came
-/// from the cache. The wall-clock field lives only in this bench-side
-/// event — per-crawl events stay on the virtual clock — so crawl results
-/// remain deterministic while the harness can still be profiled.
+/// [`run_matrix_cached`], returning each report as a [`MatrixCell`] with
+/// its wall-clock cost and cache flag, in grid order. The wall-clock
+/// figure is harness data only: crawl results stay deterministic while
+/// the harness can still be profiled.
 ///
 /// # Panics
 ///
 /// Panics if `threads` is zero or any name in the matrix is unknown; the
 /// failing `(app, crawler, seed)` cell is named in the panic message.
-pub fn run_matrix_cached_observed(
-    matrix: &RunMatrix,
-    threads: usize,
-    store: &RunStore,
-    sink: &SharedSink,
-) -> Vec<CrawlReport> {
-    run_matrix_inner(matrix, threads, store, true, sink)
+pub fn run_matrix_cells(matrix: &RunMatrix, threads: usize, store: &RunStore) -> Vec<MatrixCell> {
+    run_matrix_inner(matrix, threads, store, true)
+}
+
+fn reports(cells: Vec<MatrixCell>) -> Vec<CrawlReport> {
+    cells.into_iter().map(|cell| cell.report).collect()
 }
 
 fn run_matrix_inner(
@@ -246,8 +257,7 @@ fn run_matrix_inner(
     threads: usize,
     store: &RunStore,
     progress_enabled: bool,
-    sink: &SharedSink,
-) -> Vec<CrawlReport> {
+) -> Vec<MatrixCell> {
     assert!(threads > 0, "need at least one worker thread");
     let mut jobs = Vec::with_capacity(matrix.run_count());
     for app in &matrix.apps {
@@ -260,7 +270,7 @@ fn run_matrix_inner(
     let total = jobs.len();
     let progress = Progress::new(total, progress_enabled);
     let queue = Mutex::new(jobs.into_iter());
-    let results: Mutex<Vec<(usize, CrawlReport)>> = Mutex::new(Vec::with_capacity(total));
+    let results: Mutex<Vec<(usize, MatrixCell)>> = Mutex::new(Vec::with_capacity(total));
     // `(app, crawler, seed, message)` of every cell whose execution
     // panicked. A panicking cell must not take its siblings down with a
     // poisoned-mutex cascade, so all locks below tolerate poison
@@ -280,17 +290,10 @@ fn run_matrix_inner(
                 }));
                 match outcome {
                     Ok((report, cached)) => {
-                        sink.emit_with(|| Event::CellFinished {
-                            app: report.app.clone(),
-                            crawler: report.crawler.clone(),
-                            seed: report.seed,
-                            wall_ms: cell_started.elapsed().as_secs_f64() * 1_000.0,
-                            virtual_secs: report.elapsed_secs,
-                            interactions: report.interactions,
-                            cached,
-                        });
+                        let wall_ms = cell_started.elapsed().as_secs_f64() * 1_000.0;
                         progress.cell_done(&report, store);
-                        results.lock().unwrap_or_else(PoisonError::into_inner).push((idx, report));
+                        let cell = MatrixCell { report, wall_ms, cached };
+                        results.lock().unwrap_or_else(PoisonError::into_inner).push((idx, cell));
                     }
                     Err(payload) => {
                         let msg = panic_message(payload.as_ref());
@@ -316,7 +319,7 @@ fn run_matrix_inner(
 
     let mut results = results.into_inner().unwrap_or_else(PoisonError::into_inner);
     results.sort_by_key(|(idx, _)| *idx);
-    results.into_iter().map(|(_, r)| r).collect()
+    results.into_iter().map(|(_, cell)| cell).collect()
 }
 
 #[cfg(test)]
@@ -398,15 +401,21 @@ mod tests {
         let m = tiny_matrix();
         let fresh = run_matrix(&m, 2);
 
+        let timed = |cells: &[MatrixCell], cached: bool| {
+            cells.iter().all(|c| c.cached == cached && c.wall_ms.is_finite() && c.wall_ms >= 0.0)
+        };
+
         let first = RunStore::at(&root, CacheMode::ReadWrite);
-        let populated = run_matrix_cached(&m, 2, &first);
-        assert_eq!(populated, fresh, "populating pass matches uncached run");
+        let populated = run_matrix_cells(&m, 2, &first);
+        assert!(timed(&populated, false), "populating pass executes every cell");
+        assert_eq!(reports(populated), fresh, "populating pass matches uncached run");
         assert_eq!(first.session_hits(), 0);
         assert_eq!(first.session_misses(), m.run_count() as u64);
 
         let second = RunStore::at(&root, CacheMode::ReadWrite);
-        let cached = run_matrix_cached(&m, 2, &second);
-        assert_eq!(cached, fresh, "cached reload matches uncached run field-for-field");
+        let cached = run_matrix_cells(&m, 2, &second);
+        assert!(timed(&cached, true), "second pass serves every cell from the store");
+        assert_eq!(reports(cached), fresh, "cached reload matches uncached run field-for-field");
         assert_eq!(second.session_hits(), m.run_count() as u64, "second pass is 100% hits");
         assert_eq!(second.session_misses(), 0);
         let _ = std::fs::remove_dir_all(&root);

@@ -9,7 +9,7 @@
 //!
 //! ## Layout
 //!
-//! One JSON file per cached run under `results/cache/` (override with
+//! One file per cached run under `results/cache/` (override with
 //! `MAK_CACHE_DIR`), named
 //!
 //! ```text
@@ -23,6 +23,10 @@
 //! file* therefore changes the key and forces re-execution; stale entries
 //! are simply never addressed again.
 //!
+//! Each file holds the run's JSON [`CrawlReport`] behind a length and
+//! CRC-32 header ([`mak_obs::frame`]), so a torn write or a flipped bit
+//! is a miss, never a different report served as a hit.
+//!
 //! ## Modes
 //!
 //! The `MAK_CACHE` environment variable selects a [`CacheMode`]:
@@ -32,9 +36,7 @@
 //! - `off` — execute everything, touch nothing on disk.
 
 use mak::framework::engine::{CrawlReport, EngineConfig};
-use mak_obs::event::Event;
-use mak_obs::sink::SharedSink;
-use mak_telemetry::{Domain, TelemetryHandle};
+use mak_obs::frame;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -46,8 +48,12 @@ use std::sync::OnceLock;
 pub const DEFAULT_CACHE_DIR: &str = "results/cache";
 
 /// Bumped whenever the on-disk entry format changes incompatibly, so old
-/// caches are invalidated instead of misread.
-const SCHEMA_VERSION: u32 = 1;
+/// caches are invalidated instead of misread. Part of every key, so
+/// entries of an older schema are never addressed again.
+const SCHEMA_VERSION: u32 = 2;
+
+/// Magic token opening every entry's frame header.
+const MAGIC: &str = "makcache";
 
 /// What the cache is allowed to do (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,24 +187,6 @@ pub fn workspace_fingerprint() -> u64 {
     })
 }
 
-/// A string-keyed counter.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Counter {
-    counts: BTreeMap<String, u64>,
-}
-
-impl Counter {
-    /// Adds `n` to `key`'s count.
-    pub fn add(&mut self, key: &str, n: u64) {
-        *self.counts.entry(key.to_owned()).or_insert(0) += n;
-    }
-
-    /// The count for `key` (0 when absent).
-    pub fn get(&self, key: &str) -> u64 {
-        self.counts.get(key).copied().unwrap_or(0)
-    }
-}
-
 /// Per-`(app, crawler)` cache accounting (see [`CacheStats::per_pair`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PairStats {
@@ -221,24 +209,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Entry counts per application, folded from the per-pair stats.
-    pub fn per_app(&self) -> Counter {
-        let mut counter = Counter::default();
-        for ((app, _), stats) in &self.per_pair {
-            counter.add(app, stats.entries as u64);
-        }
-        counter
-    }
-
-    /// Entry counts per crawler, folded from the per-pair stats.
-    pub fn per_crawler(&self) -> Counter {
-        let mut counter = Counter::default();
-        for ((_, crawler), stats) in &self.per_pair {
-            counter.add(crawler, stats.entries as u64);
-        }
-        counter
-    }
-
     /// Entry counts *and byte totals* per application.
     pub fn per_app_stats(&self) -> BTreeMap<String, PairStats> {
         let mut out: BTreeMap<String, PairStats> = BTreeMap::new();
@@ -271,8 +241,6 @@ pub struct RunStore {
     hits: AtomicU64,
     misses: AtomicU64,
     corrupt: AtomicU64,
-    sink: SharedSink,
-    telemetry: TelemetryHandle,
 }
 
 impl RunStore {
@@ -286,61 +254,7 @@ impl RunStore {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
-            sink: SharedSink::none(),
-            telemetry: TelemetryHandle::none(),
         }
-    }
-
-    /// Attaches a thread-safe event sink; the store emits
-    /// `CacheHit` / `CacheMiss` on every [`load`](Self::load). The sink
-    /// must be [`SharedSink`] because matrix runners call `load` from
-    /// worker threads.
-    #[must_use]
-    pub fn with_shared_sink(mut self, sink: SharedSink) -> Self {
-        self.sink = sink;
-        self
-    }
-
-    /// Attaches a telemetry handle; the store counts
-    /// `mak_cache_hits_total` / `mak_cache_misses_total` (labeled by app
-    /// and crawler) and read/written byte totals into it. The default
-    /// handle is inert, so an unattached store pays one skipped branch
-    /// per lookup.
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: TelemetryHandle) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Counts one lookup outcome. Cache traffic depends on prior on-disk
-    /// state, so these families live in the wall-clock domain: excluded
-    /// from deterministic artifacts.
-    fn count_lookup(&self, hit: bool, app: &str, crawler: &str, bytes_read: u64) {
-        self.telemetry.with(|r| {
-            let metric = if hit { "mak_cache_hits_total" } else { "mak_cache_misses_total" };
-            r.register_counter(metric, Domain::Wall, "Run-cache lookups, by outcome");
-            r.inc(metric, &[("app", app), ("crawler", crawler)], 1);
-            if bytes_read > 0 {
-                r.register_counter(
-                    "mak_cache_io_bytes_total",
-                    Domain::Wall,
-                    "Bytes moved through the run cache, by direction",
-                );
-                r.inc("mak_cache_io_bytes_total", &[("direction", "read")], bytes_read);
-            }
-        });
-    }
-
-    /// Counts bytes written by one `save`.
-    fn count_write(&self, bytes_written: u64) {
-        self.telemetry.with(|r| {
-            r.register_counter(
-                "mak_cache_io_bytes_total",
-                Domain::Wall,
-                "Bytes moved through the run cache, by direction",
-            );
-            r.inc("mak_cache_io_bytes_total", &[("direction", "written")], bytes_written);
-        });
     }
 
     /// The store implied by the environment: `MAK_CACHE_DIR` (default
@@ -417,8 +331,9 @@ impl RunStore {
 
     /// Loads the cached report for a cell, if present and readable.
     ///
-    /// Corrupt or mismatched entries — truncated JSON, bit flips, an
-    /// entry whose embedded identity disagrees with its file name — are
+    /// Corrupt or mismatched entries — truncated writes, bit flips (both
+    /// caught by the frame's length and CRC-32), an entry whose embedded
+    /// identity disagrees with its file name — are
     /// treated as misses, never panics: the caller re-executes the run
     /// and the next [`save`](Self::save) overwrites the bad bytes. The
     /// first such entry warns once per process on stderr (gated by
@@ -433,60 +348,36 @@ impl RunStore {
     ) -> Option<CrawlReport> {
         if self.mode == CacheMode::Off {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            self.count_lookup(false, app, crawler, 0);
-            self.sink.emit_with(|| Event::CacheMiss {
-                app: app.to_owned(),
-                crawler: crawler.to_owned(),
-                seed,
-            });
             return None;
         }
         let path = self.entry_path(app, crawler, seed, self.key(app, crawler, seed, config));
-        let io_start = self.sink.is_active().then(std::time::Instant::now);
-        let text = std::fs::read_to_string(&path).ok();
-        self.emit_cache_io(io_start);
-        let entry_bytes = text.as_ref().map_or(0, |t| t.len() as u64);
-        let report = text
-            .and_then(|text| match serde_json::from_str::<CrawlReport>(&text) {
-                Ok(report) => Some(report),
-                Err(e) => {
-                    self.note_corrupt(&path, &format!("parse error: {e}"));
-                    None
-                }
-            })
-            .and_then(|r| {
-                if r.app == app && r.crawler == crawler && r.seed == seed {
-                    Some(r)
-                } else {
-                    self.note_corrupt(
-                        &path,
-                        &format!("identity mismatch: entry is {}/{}/s{}", r.app, r.crawler, r.seed),
-                    );
-                    None
-                }
-            });
-        match report {
-            Some(r) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.count_lookup(true, app, crawler, entry_bytes);
-                self.sink.emit_with(|| Event::CacheHit {
-                    app: app.to_owned(),
-                    crawler: crawler.to_owned(),
-                    seed,
-                });
-                Some(r)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.count_lookup(false, app, crawler, 0);
-                self.sink.emit_with(|| Event::CacheMiss {
-                    app: app.to_owned(),
-                    crawler: crawler.to_owned(),
-                    seed,
-                });
+        let report = std::fs::read(&path).ok().and_then(|raw| match Self::decode(&raw) {
+            Ok(r) if r.app == app && r.crawler == crawler && r.seed == seed => Some(r),
+            Ok(r) => {
+                self.note_corrupt(
+                    &path,
+                    &format!("identity mismatch: entry is {}/{}/s{}", r.app, r.crawler, r.seed),
+                );
                 None
             }
+            Err(reason) => {
+                self.note_corrupt(&path, &reason);
+                None
+            }
+        });
+        if report.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
         }
+        report
+    }
+
+    /// Verifies an entry's frame and parses its report.
+    fn decode(raw: &[u8]) -> Result<CrawlReport, String> {
+        let payload = frame::decode(MAGIC, SCHEMA_VERSION, raw)?;
+        let text = std::str::from_utf8(payload).map_err(|_| "non-UTF-8 payload".to_owned())?;
+        serde_json::from_str(text).map_err(|e| format!("parse error: {e}"))
     }
 
     /// Counts one unusable on-disk entry and warns about the first in
@@ -523,31 +414,10 @@ impl RunStore {
                 return;
             }
         };
-        let io_start = self.sink.is_active().then(std::time::Instant::now);
-        let write = self.write_atomic(&path, json.as_bytes());
-        self.emit_cache_io(io_start);
-        if let Err(e) = write {
+        if let Err(e) =
+            self.write_atomic(&path, &frame::encode(MAGIC, SCHEMA_VERSION, json.as_bytes()))
+        {
             mak_obs::progress!("run cache: write {}: {e}", path.display());
-        } else {
-            self.count_write(json.len() as u64);
-        }
-    }
-
-    /// Emits one bench-side `CacheIo` span covering a cache read or
-    /// write. Wall milliseconds, mirroring the `CellFinished` precedent:
-    /// these flow only through the bench's [`SharedSink`], never into a
-    /// per-crawl trace, so crawl-path determinism is untouched. Span ids
-    /// are 0 — bench-side spans carry no tree.
-    fn emit_cache_io(&self, io_start: Option<std::time::Instant>) {
-        if let Some(start) = io_start {
-            let dur_ms = start.elapsed().as_secs_f64() * 1000.0;
-            self.sink.emit_with(|| Event::SpanClosed {
-                id: 0,
-                parent: 0,
-                phase: mak_obs::span::Phase::CacheIo.as_str().to_owned(),
-                t_ms: 0.0,
-                dur_ms,
-            });
         }
     }
 
@@ -733,55 +603,51 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
-    /// The disk is not trusted: a single flipped bit, a write cut short
-    /// mid-entry, or an entry renamed over the wrong cell must each
-    /// degrade to a cache miss — rerun and overwrite — never a panic and
-    /// never a wrong report served as a hit.
+    /// The disk is not trusted: a write cut short at any byte, a bit
+    /// flipped at any byte, or an entry copied over the wrong cell must
+    /// each degrade to a counted cache miss — rerun and overwrite — never
+    /// a panic and never a wrong report served as a hit.
     #[test]
     fn bit_flipped_and_truncated_entries_degrade_to_misses() {
         let root = tmp_root("bitrot");
         let store = RunStore::at(&root, CacheMode::ReadWrite);
-        let cfg = EngineConfig::default();
-
-        // Truncation: keep only the first half of the entry's bytes,
-        // simulating a torn write by a crashed process.
-        store.save(&sample_report(1), &cfg);
-        let path1 =
+        let cfg = EngineConfig::with_budget_minutes(0.05);
+        let report = crate::experiment::run_one("addressbook", "bfs", 1, &cfg);
+        store.save(&report, &cfg);
+        let path =
             store.entry_path("addressbook", "bfs", 1, store.key("addressbook", "bfs", 1, &cfg));
-        let bytes = std::fs::read(&path1).expect("entry exists");
-        std::fs::write(&path1, &bytes[..bytes.len() / 2]).expect("truncate");
-        assert!(store.load("addressbook", "bfs", 1, &cfg).is_none(), "truncated entry is a miss");
+        let entry = std::fs::read(&path).expect("entry exists");
 
-        // Bit flip in the middle of the payload. Flipping a bit inside a
-        // JSON number or string may still parse, so flip one inside a
-        // structural character region: corrupt the `"crawler"` key name.
-        store.save(&sample_report(2), &cfg);
-        let path2 =
-            store.entry_path("addressbook", "bfs", 2, store.key("addressbook", "bfs", 2, &cfg));
-        let mut bytes = std::fs::read(&path2).expect("entry exists");
-        let at = std::str::from_utf8(&bytes).unwrap().find("\"crawler\"").expect("key present");
-        bytes[at] ^= 0x01; // '"' -> '#': unquoted key, invalid JSON
-        std::fs::write(&path2, &bytes).expect("flip");
-        assert!(store.load("addressbook", "bfs", 2, &cfg).is_none(), "bit-flipped entry is a miss");
-
-        // Identity mismatch: a well-formed entry for the wrong cell
-        // copied over this cell's file (e.g. a bad manual restore).
-        store.save(&sample_report(3), &cfg);
-        let path3 =
-            store.entry_path("addressbook", "bfs", 3, store.key("addressbook", "bfs", 3, &cfg));
-        let other = serde_json::to_string(&sample_report(99)).unwrap();
-        std::fs::write(&path3, other).expect("swap in foreign entry");
-        assert!(store.load("addressbook", "bfs", 3, &cfg).is_none(), "foreign entry is a miss");
-
-        assert_eq!(store.session_corrupt(), 3);
-        assert_eq!(store.session_hits(), 0);
-        assert_eq!(store.session_misses(), 3);
-
-        // Re-saving heals every cell.
-        for seed in 1..=3 {
-            store.save(&sample_report(seed), &cfg);
-            assert_eq!(store.load("addressbook", "bfs", seed, &cfg), Some(sample_report(seed)));
+        // Every byte offset: one truncation there, one XOR-1 flip there.
+        let mut damaged = 0;
+        for at in 0..entry.len() {
+            let mut flipped = entry.clone();
+            flipped[at] ^= 0x01;
+            for bytes in [&entry[..at], &flipped[..]] {
+                std::fs::write(&path, bytes).expect("damage the entry");
+                damaged += 1;
+                assert!(store.load("addressbook", "bfs", 1, &cfg).is_none(), "byte {at}: a hit");
+                assert_eq!(store.session_corrupt(), damaged, "byte {at}: not counted as corrupt");
+            }
         }
+
+        // Identity mismatch: a well-formed entry for another cell copied
+        // over this cell's file (e.g. a bad manual restore).
+        let mut foreign = report.clone();
+        foreign.seed = 99;
+        store.save(&foreign, &cfg);
+        let foreign_path =
+            store.entry_path("addressbook", "bfs", 99, store.key("addressbook", "bfs", 99, &cfg));
+        std::fs::copy(&foreign_path, &path).expect("swap in foreign entry");
+        assert!(store.load("addressbook", "bfs", 1, &cfg).is_none(), "foreign entry is a miss");
+
+        assert_eq!(store.session_corrupt(), damaged + 1);
+        assert_eq!(store.session_hits(), 0);
+        assert_eq!(store.session_misses(), damaged + 1);
+
+        // Re-saving heals the cell.
+        store.save(&report, &cfg);
+        assert_eq!(store.load("addressbook", "bfs", 1, &cfg), Some(report));
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -796,8 +662,6 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.entries, 3);
         assert!(stats.bytes > 0);
-        assert_eq!(stats.per_app().get("addressbook"), 3);
-        assert_eq!(stats.per_crawler().get("bfs"), 3);
         let pair = stats.per_pair[&("addressbook".to_owned(), "bfs".to_owned())];
         assert_eq!(pair.entries, 3);
         assert_eq!(pair.bytes, stats.bytes, "single pair owns all bytes");
@@ -807,58 +671,8 @@ mod tests {
     }
 
     #[test]
-    fn load_emits_cache_events_through_a_shared_sink() {
-        use mak_obs::sink::VecSink;
-        let root = tmp_root("sink");
-        let (shared, cell) = SharedSink::shared(VecSink::new());
-        let store = RunStore::at(&root, CacheMode::ReadWrite).with_shared_sink(shared);
-        let cfg = EngineConfig::default();
-        assert!(store.load("addressbook", "bfs", 1, &cfg).is_none());
-        store.save(&sample_report(1), &cfg);
-        assert!(store.load("addressbook", "bfs", 1, &cfg).is_some());
-        let events = cell.lock().unwrap().events().to_vec();
-        let kinds: Vec<&str> = events.iter().map(|e| e.kind()).collect();
-        // Each load wraps its read in a CacheIo span, and the save wraps
-        // its write: read → miss, write, read → hit.
-        assert_eq!(kinds, vec!["SpanClosed", "CacheMiss", "SpanClosed", "SpanClosed", "CacheHit"]);
-        for event in &events {
-            if let Event::SpanClosed { phase, dur_ms, .. } = event {
-                assert_eq!(phase, "CacheIo");
-                assert!(*dur_ms >= 0.0);
-            }
-        }
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
     fn fingerprint_is_stable_within_a_process() {
         assert_eq!(workspace_fingerprint(), workspace_fingerprint());
-    }
-
-    #[test]
-    fn telemetry_counts_lookups_and_bytes() {
-        let root = tmp_root("telemetry");
-        let (handle, registry) = TelemetryHandle::shared();
-        let store = RunStore::at(&root, CacheMode::ReadWrite).with_telemetry(handle);
-        let cfg = EngineConfig::default();
-        assert!(store.load("addressbook", "bfs", 1, &cfg).is_none());
-        store.save(&sample_report(1), &cfg);
-        assert!(store.load("addressbook", "bfs", 1, &cfg).is_some());
-        let entry_bytes = store.stats().bytes;
-        let reg = registry.lock().unwrap();
-        let labels = [("app", "addressbook"), ("crawler", "bfs")];
-        assert_eq!(reg.counter_value("mak_cache_hits_total", &labels), 1.0);
-        assert_eq!(reg.counter_value("mak_cache_misses_total", &labels), 1.0);
-        assert_eq!(
-            reg.counter_value("mak_cache_io_bytes_total", &[("direction", "written")]),
-            entry_bytes as f64
-        );
-        assert_eq!(
-            reg.counter_value("mak_cache_io_bytes_total", &[("direction", "read")]),
-            entry_bytes as f64
-        );
-        drop(reg);
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -12,14 +12,13 @@
 //! | `PolicyUpdated` / `EpochAdvanced` | `mak_bandit::exp31` |
 //! | `PageFetched` / `RedirectFollowed` | `mak_browser::client` |
 //! | `CoverageDelta` | `mak_websim::server::AppHost` |
-//! | `CacheHit` / `CacheMiss` | `mak_metrics::store::RunStore` |
-//! | `CellFinished` | `mak_metrics::experiment` (bench-side) |
 //! | `FaultInjected` / `RetryScheduled` / `FaultRecovered` | `mak_browser::client` (fault layer) |
 //! | `SpanClosed` | every span-instrumented site (see [`crate::span`]) |
 //!
-//! All `t_ms` / `*_ms` fields inside a run are **virtual-clock**
-//! milliseconds. `CellFinished::wall_ms` is the one wall-clock field; it
-//! is emitted outside any crawl and never appears in a per-crawl trace.
+//! Every event describes one crawl, and every `t_ms` / `*_ms` field is
+//! **virtual-clock** milliseconds: the taxonomy has no wall-clock field.
+//! Harness cost (cache lookups, per-cell wall time) is plain data
+//! returned by the matrix runner, never an event.
 
 use serde::{Deserialize, Serialize};
 
@@ -91,22 +90,6 @@ pub enum Event {
     },
     /// The crawl ended (budget exhausted or crawler finished).
     RunFinished { t_ms: f64, steps: u64, interactions: u64, lines: u64 },
-    /// The run cache served this cell without executing it.
-    CacheHit { app: String, crawler: String, seed: u64 },
-    /// The run cache had no entry (or was disabled) for this cell.
-    CacheMiss { app: String, crawler: String, seed: u64 },
-    /// Bench-side: one matrix cell finished. `wall_ms` is **wall-clock**
-    /// host time (the only non-virtual quantity in the taxonomy);
-    /// `virtual_secs` is the crawl's virtual duration.
-    CellFinished {
-        app: String,
-        crawler: String,
-        seed: u64,
-        wall_ms: f64,
-        virtual_secs: f64,
-        interactions: u64,
-        cached: bool,
-    },
     /// The fault layer injected a fault of `kind` while handling `url`;
     /// `wait_ms` is the virtual time the failed attempt wasted (0 for
     /// session expiry, which proceeds anonymously).
@@ -119,8 +102,7 @@ pub enum Event {
     /// A profiling span closed (see [`crate::span`]): work of `phase`
     /// ran `[t_ms, t_ms + dur_ms]` nested under span `parent` (0 = no
     /// parent). Ids count up from 1 in allocation order. Times are
-    /// virtual-clock ms inside a crawl; bench-side `CacheIo` spans carry
-    /// wall ms and, like `CellFinished`, never enter a per-crawl trace.
+    /// virtual-clock ms.
     SpanClosed { id: u64, parent: u64, phase: String, t_ms: f64, dur_ms: f64 },
 }
 
@@ -131,7 +113,7 @@ impl Event {
     /// exhaustiveness contract: a variant added without analyzer support
     /// fails to compile (the matches) or fails the workspace
     /// observability tests (this list).
-    pub const ALL_KINDS: [&'static str; 20] = [
+    pub const ALL_KINDS: [&'static str; 17] = [
         "RunStarted",
         "SessionResumed",
         "StepStarted",
@@ -145,9 +127,6 @@ impl Event {
         "DequeDepth",
         "StepFinished",
         "RunFinished",
-        "CacheHit",
-        "CacheMiss",
-        "CellFinished",
         "FaultInjected",
         "RetryScheduled",
         "FaultRecovered",
@@ -206,17 +185,6 @@ impl Event {
                 distinct_urls: 2,
             },
             Event::RunFinished { t_ms: 1_500.0, steps: 1, interactions: 1, lines: 40 },
-            Event::CacheHit { app: "app".into(), crawler: "mak".into(), seed: 1 },
-            Event::CacheMiss { app: "app".into(), crawler: "bfs".into(), seed: 1 },
-            Event::CellFinished {
-                app: "app".into(),
-                crawler: "mak".into(),
-                seed: 1,
-                wall_ms: 12.0,
-                virtual_secs: 60.0,
-                interactions: 1,
-                cached: false,
-            },
             Event::FaultInjected {
                 kind: "Timeout".into(),
                 url: "http://a/slow".into(),
@@ -251,9 +219,6 @@ impl Event {
             Event::DequeDepth { .. } => "DequeDepth",
             Event::StepFinished { .. } => "StepFinished",
             Event::RunFinished { .. } => "RunFinished",
-            Event::CacheHit { .. } => "CacheHit",
-            Event::CacheMiss { .. } => "CacheMiss",
-            Event::CellFinished { .. } => "CellFinished",
             Event::FaultInjected { .. } => "FaultInjected",
             Event::RetryScheduled { .. } => "RetryScheduled",
             Event::FaultRecovered { .. } => "FaultRecovered",
@@ -294,7 +259,6 @@ mod tests {
                 lines: 120,
                 distinct_urls: 9,
             },
-            Event::CacheHit { app: "a".into(), crawler: "bfs".into(), seed: 0 },
         ];
         for ev in &events {
             let json = serde_json::to_string(ev).unwrap();

@@ -146,12 +146,6 @@ pub struct FlightReport {
     pub redirects: u64,
     /// Coverage-growing requests observed server-side.
     pub coverage_deltas: u64,
-    /// Cache hits seen in the stream (bench-side traces only).
-    pub cache_hits: u64,
-    /// Cache misses seen in the stream.
-    pub cache_misses: u64,
-    /// Bench-side `CellFinished` events seen (never in per-crawl traces).
-    pub cells_finished: u64,
     /// Faults injected by the fault layer (0 on zero-fault traces).
     pub faults_injected: u64,
     /// Retries scheduled after retryable faults.
@@ -341,9 +335,6 @@ impl EventSink for FlightRecorder {
                     r.coverage_waterfall.push(CoveragePoint { t_ms: *t_ms, lines: *lines });
                 }
             }
-            Event::CacheHit { .. } => r.cache_hits += 1,
-            Event::CacheMiss { .. } => r.cache_misses += 1,
-            Event::CellFinished { .. } => r.cells_finished += 1,
             Event::FaultInjected { wait_ms, .. } => {
                 r.faults_injected += 1;
                 // A failed attempt's wait is network time down the drain,

@@ -10,24 +10,22 @@
 //!    virtual clock; a crawl with a sink attached produces a
 //!    [`CrawlReport`] byte-identical to one without (enforced by
 //!    `tests/observability.rs`).
-//! 2. **Virtual time only inside a run.** Per-crawl events carry
-//!    virtual-clock milliseconds, never wall time, so a JSONL stream is
-//!    bit-identical across reruns and thread counts. The single
-//!    exception is [`Event::CellFinished`], a *bench-side* event emitted
-//!    outside any crawl (through [`sink::SharedSink`]) that records
-//!    wall-clock cost for `BENCH_perf.json`; it never enters a per-crawl
-//!    trace.
+//! 2. **Crawls only, virtual time only.** Every event describes one
+//!    crawl and carries virtual-clock milliseconds, never wall time, so a
+//!    JSONL stream is bit-identical across reruns and thread counts.
+//!    Harness cost (run-cache lookups, per-cell wall time) is not an
+//!    event: the matrix runner returns it as plain data.
 //! 3. **No-op by default, lazy when attached.** [`sink::SinkHandle`]
 //!    defaults to inert; `emit_with` takes a closure so event
 //!    construction (string formatting, prob-vector clones) is skipped
 //!    entirely when no sink listens.
 //!
-//! Modules: [`event`] (the taxonomy), [`sink`] (the trait, handles, and
+//! Modules: [`event`] (the taxonomy), [`sink`] (the trait, the handle, and
 //! JSONL/Vec sinks), [`span`] (spans and the [`PhaseTotals`] budget
 //! attribution), [`trace`] (streaming JSONL readback and stream diffing),
 //! [`flight`] (the flight recorder, the one fold from events to an
 //! analysis), [`perfetto`] (span export), [`logger`] (the `MAK_LOG` stderr
-//! logger).
+//! logger), [`frame`] (the CRC-32 file framing of the on-disk stores).
 //!
 //! [`Event`]: event::Event
 //! [`EventSink`]: sink::EventSink
@@ -35,6 +33,7 @@
 
 pub mod event;
 pub mod flight;
+pub mod frame;
 pub mod logger;
 pub mod perfetto;
 pub mod sink;
@@ -43,6 +42,6 @@ pub mod trace;
 
 pub use event::Event;
 pub use flight::{FlightRecorder, FlightReport};
-pub use sink::{EventSink, JsonlSink, SharedSink, SinkHandle, VecSink};
+pub use sink::{EventSink, JsonlSink, SinkHandle, VecSink};
 pub use span::{Phase, PhaseTotals, SpanToken};
 pub use trace::{first_divergence, Divergence, TraceIter};

@@ -1,23 +1,17 @@
 //! Sinks: where events go.
 //!
-//! Two handle types cover the two emission regimes in the workspace:
-//!
-//! - [`SinkHandle`] — `Arc<Mutex<_>>`-based, cloneable, `Send + Sync`,
-//!   for the per-run path (engine → browser → host → crawler → policy
-//!   all share one handle). Each crawl session owns its handle
-//!   exclusively, so the mutex is uncontended; it exists so a
-//!   [`Session`](../../mak/framework/session/struct.Session.html) holding
-//!   the handle can migrate between scheduler worker threads. Defaults
-//!   to inert; `emit_with` is lazy so an inert handle costs one
-//!   `Option` check per call site.
-//! - [`SharedSink`] — also `Arc<Mutex<_>>`-based, for emitters shared
-//!   *by reference* across threads (the run cache and the bench matrix
-//!   runner, which execute cells on worker threads).
+//! [`SinkHandle`] is the one handle type: `Arc<Mutex<_>>`-based,
+//! cloneable and `Send + Sync`, for the per-run path (engine → browser →
+//! host → crawler → policy all share one handle). Each crawl session
+//! owns its handle exclusively, so the mutex is uncontended; it exists so
+//! a `mak::framework::session::Session` holding the handle can migrate
+//! between scheduler worker threads. It defaults to inert; `emit_with`
+//! is lazy so an inert handle costs one `Option` check per call site.
 //!
 //! Concrete sinks: [`JsonlSink`] (one event per line, deterministic
 //! because events carry only virtual time), [`VecSink`] (buffering, for
-//! tests and collectors), [`Fanout`] (duplicate a stream into several
-//! handles), plus [`crate::flight::FlightRecorder`].
+//! tests and collectors), the private fan-out behind
+//! [`SinkHandle::fanout`], plus [`crate::flight::FlightRecorder`].
 
 use crate::event::Event;
 use crate::span::{Phase, SpanState, SpanToken};
@@ -258,55 +252,6 @@ impl fmt::Debug for SinkHandle {
     }
 }
 
-/// A cloneable, possibly-inert handle to a sink shared across threads.
-///
-/// Used where the emitter itself is shared by `&self` across worker
-/// threads: the run cache (`CacheHit`/`CacheMiss`) and the bench matrix
-/// runner (`CellFinished`).
-#[derive(Clone, Default)]
-pub struct SharedSink {
-    inner: Option<Arc<Mutex<dyn EventSink + Send>>>,
-}
-
-impl SharedSink {
-    /// The inert handle.
-    pub fn none() -> Self {
-        SharedSink { inner: None }
-    }
-
-    /// Wraps a sink and returns both the handle and the shared cell for
-    /// post-run inspection.
-    pub fn shared<S: EventSink + Send + 'static>(sink: S) -> (Self, Arc<Mutex<S>>) {
-        let cell = Arc::new(Mutex::new(sink));
-        let dynamic: Arc<Mutex<dyn EventSink + Send>> = cell.clone();
-        (SharedSink { inner: Some(dynamic) }, cell)
-    }
-
-    /// Whether a sink is attached.
-    pub fn is_active(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Emits lazily; tolerant of a poisoned lock (a panicked worker must
-    /// not cascade into observability).
-    pub fn emit_with<F: FnOnce() -> Event>(&self, make: F) {
-        if let Some(sink) = &self.inner {
-            let event = make();
-            let mut guard = match sink.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            guard.on_event(&event);
-        }
-    }
-}
-
-impl fmt::Debug for SharedSink {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(if self.is_active() { "SharedSink(active)" } else { "SharedSink(inert)" })
-    }
-}
-
 /// Duplicates every event into each target handle.
 struct Fanout {
     targets: Vec<SinkHandle>,
@@ -377,7 +322,7 @@ impl<W: Write> EventSink for JsonlSink<W> {
 }
 
 /// Buffers every event in order. The workhorse of the determinism tests
-/// and of bench-side collectors.
+/// and of in-process analyses (`mak-cli profile`, the testkit oracles).
 #[derive(Debug, Default)]
 pub struct VecSink {
     events: Vec<Event>,
@@ -392,11 +337,6 @@ impl VecSink {
     /// All events seen so far, in emission order.
     pub fn events(&self) -> &[Event] {
         &self.events
-    }
-
-    /// Consumes the sink, returning the buffer.
-    pub fn into_events(self) -> Vec<Event> {
-        self.events
     }
 }
 
@@ -559,23 +499,5 @@ mod tests {
             }
             other => panic!("unexpected event {other:?}"),
         }
-    }
-
-    #[test]
-    fn shared_sink_emits_across_threads() {
-        let (shared, cell) = SharedSink::shared(VecSink::new());
-        std::thread::scope(|scope| {
-            for i in 0..4 {
-                let shared = shared.clone();
-                scope.spawn(move || {
-                    shared.emit_with(|| Event::CacheMiss {
-                        app: format!("app{i}"),
-                        crawler: "mak".into(),
-                        seed: i,
-                    });
-                });
-            }
-        });
-        assert_eq!(cell.lock().unwrap().events().len(), 4);
     }
 }

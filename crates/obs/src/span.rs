@@ -15,13 +15,10 @@
 //!    [`SinkHandle::with_spans`](crate::sink::SinkHandle::with_spans);
 //!    by default every span call is a single `Option` check and a
 //!    return, so uninstrumented runs pay nothing.
-//! 2. **Virtual time inside a run.** Per-crawl spans carry virtual-clock
-//!    milliseconds, so a span stream is a pure function of
-//!    `(app, crawler, seed, config)` — byte-identical across reruns,
-//!    thread counts, and scheduler orders. Bench-side spans
-//!    ([`Phase::CacheIo`]) carry wall time, mirroring the
-//!    `CellFinished` precedent: they are emitted outside any crawl and
-//!    never enter a per-crawl trace.
+//! 2. **Virtual time only.** Spans carry virtual-clock milliseconds, so
+//!    a span stream is a pure function of `(app, crawler, seed, config)`
+//!    — byte-identical across reruns, thread counts, and scheduler
+//!    orders.
 //! 3. **Ids are allocation order.** Span ids count up from 1 per span
 //!    state (0 is "no parent"), so the id sequence is as deterministic
 //!    as the instrumentation call sequence itself.
@@ -66,16 +63,11 @@ pub enum Phase {
     ExtractInteractables,
     /// Retry backoff after a retryable fault.
     Backoff,
-    /// Run-cache load/save I/O (bench-side; wall milliseconds).
-    CacheIo,
-    /// One scheduler slice dispatched to a worker (serve-side; wall
-    /// milliseconds, surfaced via wall-domain telemetry only).
-    SchedulerDispatch,
 }
 
 impl Phase {
     /// Every phase, in declaration order.
-    pub const ALL: [Phase; 11] = [
+    pub const ALL: [Phase; 9] = [
         Phase::Step,
         Phase::PolicyChoose,
         Phase::BanditChoose,
@@ -85,8 +77,6 @@ impl Phase {
         Phase::Think,
         Phase::ExtractInteractables,
         Phase::Backoff,
-        Phase::CacheIo,
-        Phase::SchedulerDispatch,
     ];
 
     /// The stable string form carried in events, metric labels, and
@@ -102,8 +92,6 @@ impl Phase {
             Phase::Think => "Think",
             Phase::ExtractInteractables => "ExtractInteractables",
             Phase::Backoff => "Backoff",
-            Phase::CacheIo => "CacheIo",
-            Phase::SchedulerDispatch => "SchedulerDispatch",
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! One file per parked session, named `session-<zero-padded id>.ckpt` so
 //! lexicographic directory order is submission order. Each file is a
-//! one-line header followed by a JSON payload:
+//! JSON payload behind a [`mak_obs::frame`] header line:
 //!
 //! ```text
 //! makckpt <format-version> <crc32-hex> <payload-bytes>\n
@@ -20,6 +20,7 @@
 
 use crate::service::SessionId;
 use mak::framework::checkpoint::SessionCheckpoint;
+use mak_obs::frame;
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -37,21 +38,6 @@ const MAGIC: &str = "makckpt";
 
 /// File extension for live checkpoints.
 const EXT: &str = "ckpt";
-
-/// CRC-32 (IEEE 802.3, reflected polynomial) over `bytes`. Hand-rolled
-/// bitwise form: the store writes at checkpoint cadence, not per step, so
-/// table-free simplicity beats throughput here.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// A parked session as persisted: the engine-level [`SessionCheckpoint`]
 /// plus the service-side identity needed to re-admit it — the original
@@ -193,14 +179,12 @@ impl CheckpointStore {
 
     fn save_inner(&self, stored: &StoredSession) -> io::Result<u64> {
         let payload = serde_json::to_string(stored).map_err(io::Error::other)?;
-        let payload = payload.as_bytes();
-        let header = format!("{MAGIC} {STORE_VERSION} {:08x} {}\n", crc32(payload), payload.len());
+        let framed = frame::encode(MAGIC, STORE_VERSION, payload.as_bytes());
         let final_path = self.path_for(stored.id);
         let tmp_path = self.dir.join(format!(".{}.tmp", Self::file_name(stored.id)));
         {
             let mut tmp = File::create(&tmp_path)?;
-            tmp.write_all(header.as_bytes())?;
-            tmp.write_all(payload)?;
+            tmp.write_all(&framed)?;
             tmp.sync_all()?;
         }
         fs::rename(&tmp_path, &final_path)?;
@@ -266,38 +250,7 @@ impl CheckpointStore {
     }
 
     fn decode(raw: &[u8]) -> Result<StoredSession, String> {
-        let newline =
-            raw.iter().position(|&b| b == b'\n').ok_or_else(|| "missing header".to_owned())?;
-        let header =
-            std::str::from_utf8(&raw[..newline]).map_err(|_| "non-UTF-8 header".to_owned())?;
-        let mut parts = header.split(' ');
-        if parts.next() != Some(MAGIC) {
-            return Err("bad magic".to_owned());
-        }
-        let version: u32 =
-            parts.next().and_then(|s| s.parse().ok()).ok_or_else(|| "bad version".to_owned())?;
-        if version != STORE_VERSION {
-            return Err(format!("unsupported store version {version}"));
-        }
-        let crc_expected = parts
-            .next()
-            .and_then(|s| u32::from_str_radix(s, 16).ok())
-            .ok_or_else(|| "bad crc field".to_owned())?;
-        let len: usize = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| "bad length field".to_owned())?;
-        if parts.next().is_some() {
-            return Err("trailing header fields".to_owned());
-        }
-        let payload = &raw[newline + 1..];
-        if payload.len() != len {
-            return Err(format!("truncated payload: {} of {len} bytes", payload.len()));
-        }
-        let crc_actual = crc32(payload);
-        if crc_actual != crc_expected {
-            return Err(format!("crc mismatch: {crc_actual:08x} != {crc_expected:08x}"));
-        }
+        let payload = frame::decode(MAGIC, STORE_VERSION, raw)?;
         let text = std::str::from_utf8(payload).map_err(|_| "non-UTF-8 payload".to_owned())?;
         serde_json::from_str(text).map_err(|e| format!("undecodable payload: {e}"))
     }
@@ -354,14 +307,6 @@ mod tests {
             record_spans: false,
             checkpoint: session.snapshot().unwrap(),
         }
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // IEEE CRC-32 check values.
-        assert_eq!(crc32(b""), 0x0000_0000);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!   backpressure errors ([`SubmitError`]) instead of panics;
 //! - **result streaming** over the existing `mak-obs` JSONL event
 //!   protocol: any session can record its event stream and return the
-//!   byte-exact JSONL alongside its [`CrawlReport`];
+//!   byte-exact JSONL alongside its
+//!   [`CrawlReport`](mak::framework::engine::CrawlReport);
 //! - **resilience**: an [`EngineConfig::faults`] plan on a submission
 //!   injects the PR 5 chaos layer per session — faulty sessions retry,
 //!   back off, and finish their budget without wedging the scheduler;

@@ -10,9 +10,8 @@
 //! keeping interleaving fine-grained enough that a hundred thousand
 //! sessions all make progress.
 //!
-//! Because every session is an independent
-//! [`Session`](mak::framework::session::Session) state machine, the
-//! schedule — worker count, queue discipline, steal victims — is
+//! Because every session is an independent [`Session`] state machine,
+//! the schedule — worker count, queue discipline, steal victims — is
 //! *unobservable* in session outcomes. [`ScheduleOrder`] exists to prove
 //! exactly that: the determinism suite replays identical workloads under
 //! round-robin, LIFO, and seeded-random disciplines and asserts
@@ -27,7 +26,7 @@
 use crate::checkpoint::{CheckpointStore, StoredSession};
 use mak::framework::engine::CrawlReport;
 use mak::framework::session::Session;
-use mak_obs::sink::VecSink;
+use mak_obs::sink::JsonlSink;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -61,9 +60,9 @@ pub(crate) struct SessionTask {
     pub app: String,
     pub crawler: String,
     pub session: Session<'static>,
-    /// Buffer behind the session's event sink when the submission asked
-    /// for its JSONL stream.
-    pub events: Option<Arc<Mutex<VecSink>>>,
+    /// JSONL buffer behind the session's event sink when the submission
+    /// asked for its stream.
+    pub events: Option<Arc<Mutex<JsonlSink<Vec<u8>>>>>,
     pub record_events: bool,
     pub record_spans: bool,
     /// Scheduling quanta this session has consumed so far.
@@ -102,7 +101,7 @@ pub(crate) struct FinishedTask {
     pub id: u64,
     pub tenant: String,
     pub report: CrawlReport,
-    pub events: Option<Arc<Mutex<VecSink>>>,
+    pub events: Option<Arc<Mutex<JsonlSink<Vec<u8>>>>>,
     pub slices: u64,
     pub steps: u64,
 }
@@ -161,7 +160,7 @@ impl StepLatencies {
     }
 
     /// Dispatch-path samples, wall nanoseconds per acquired task — feed
-    /// for the wall-domain `SchedulerDispatch` histogram.
+    /// for the wall-domain `mak_serve_dispatch_ns` histogram.
     pub fn dispatch_samples(&self) -> &[u64] {
         &self.dispatch
     }

@@ -25,7 +25,7 @@ use crate::tenant::{TenantLedger, TenantQuota};
 use mak::framework::engine::{CrawlReport, EngineConfig};
 use mak::framework::session::Session;
 use mak::spec::build_crawler;
-use mak_obs::sink::{SinkHandle, VecSink};
+use mak_obs::sink::{JsonlSink, SinkHandle};
 use mak_websim::apps;
 use mak_websim::server::WebApp;
 use std::collections::BTreeMap;
@@ -287,7 +287,7 @@ impl CrawlService {
         })?;
 
         let (sink, events) = if spec.record_events || spec.record_spans {
-            let (handle, cell) = SinkHandle::shared(VecSink::new());
+            let (handle, cell) = SinkHandle::shared(JsonlSink::new(Vec::new()));
             let handle = if spec.record_spans { handle.with_spans() } else { handle };
             (handle, Some(cell))
         } else {
@@ -417,18 +417,11 @@ impl CrawlService {
             .map(|t| {
                 self.ledger.release(&t.tenant);
                 self.metrics.record_completed(&t.tenant, t.steps, &t.report);
+                // Writes into a `Vec` cannot fail, so the latched error
+                // is always `None`.
                 let events_jsonl = t.events.map(|cell| {
-                    let sink = Arc::try_unwrap(cell)
-                        .expect("session finished; no other handle survives")
-                        .into_inner()
-                        .unwrap_or_else(|p| p.into_inner());
-                    let mut out = Vec::new();
-                    for event in sink.events() {
-                        let line = serde_json::to_string(event).expect("Event serializes");
-                        out.extend_from_slice(line.as_bytes());
-                        out.push(b'\n');
-                    }
-                    out
+                    let mut sink = cell.lock().unwrap_or_else(|p| p.into_inner());
+                    std::mem::replace(&mut *sink, JsonlSink::new(Vec::new())).finish().0
                 });
                 CompletedSession {
                     id: t.id,
@@ -572,7 +565,7 @@ impl CrawlService {
             // A fresh buffer: the recovered stream opens with
             // `SessionResumed` and carries exactly the uninterrupted
             // run's suffix from there.
-            let (handle, cell) = SinkHandle::shared(VecSink::new());
+            let (handle, cell) = SinkHandle::shared(JsonlSink::new(Vec::new()));
             (handle, Some(cell))
         } else {
             (SinkHandle::none(), None)

@@ -8,7 +8,7 @@
 //! - an optional **lifetime budget** (how many sessions the tenant may
 //!   submit over the service's lifetime), which never recovers.
 //!
-//! Violations surface as typed [`SubmitError`](crate::SubmitError)s at
+//! Violations surface as typed [`SubmitError`]s at
 //! the admission boundary; accounting is exact — the ledger's in-flight
 //! counters return to zero once everything drains (asserted by the
 //! quota test suite).

@@ -1,16 +1,14 @@
 //! # mak-telemetry — a deterministic metrics registry
 //!
 //! The serving layer (`mak-serve`) multiplexes a hundred thousand crawl
-//! sessions over a work-stealing scheduler; the bench binaries run grid
-//! cells over a content-addressed run cache. Both need cumulative
-//! counters — "how many sessions did tenant X finish", "how often did
-//! the cache hit", "how much virtual time did fault backoff burn" — and
-//! both live under the repository's central invariant: results are pure
-//! functions of `(app, crawler, seed, config)`.
+//! sessions over a work-stealing scheduler. It needs cumulative counters
+//! — "how many sessions did tenant X finish", "how much virtual time did
+//! fault backoff burn" — and lives under the repository's central
+//! invariant: results are pure functions of `(app, crawler, seed,
+//! config)`.
 //!
 //! This crate therefore splits every metric into one of two **clock
-//! domains**, following the `Event::CellFinished` precedent (the one
-//! wall-clock field in the `mak-obs` taxonomy):
+//! domains**:
 //!
 //! - [`Domain::Virtual`] — quantities derived from session *outcomes*
 //!   (steps, interactions, coverage, faults, quota decisions). Folded in
@@ -28,14 +26,6 @@
 //! (tenant, app, crawler, …). Snapshots render as Prometheus text
 //! exposition ([`MetricsSnapshot::to_prometheus`]) or a JSON document
 //! ([`MetricsSnapshot::to_json`]).
-//!
-//! ## Zero cost by default
-//!
-//! Emitters that only *sometimes* report — the run cache, optional
-//! engine-side probes — take a [`TelemetryHandle`], mirroring the
-//! `SinkHandle` design in `mak-obs`: the default handle is inert and
-//! every update is a skipped branch, so a handle-carrying hot path costs
-//! nothing when nobody is listening.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -44,5 +34,5 @@ pub mod prometheus;
 pub mod registry;
 pub mod snapshot;
 
-pub use registry::{Domain, HistogramValue, MetricKind, MetricsRegistry, TelemetryHandle};
+pub use registry::{Domain, HistogramValue, MetricKind, MetricsRegistry};
 pub use snapshot::{FamilySnapshot, Label, MetricsSnapshot, SampleSnapshot};

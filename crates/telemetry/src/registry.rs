@@ -1,10 +1,7 @@
-//! The registry: metric families, labeled samples, and the inert-by-default
-//! handle.
+//! The registry: metric families and labeled samples.
 
 use crate::snapshot::{FamilySnapshot, Label, MetricsSnapshot, SampleSnapshot};
 use std::collections::BTreeMap;
-use std::fmt;
-use std::sync::{Arc, Mutex};
 
 /// Which clock a metric belongs to (see the [crate docs](crate)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -357,57 +354,6 @@ impl MetricsRegistry {
     }
 }
 
-/// A cloneable, possibly-inert handle to a shared registry, mirroring the
-/// `SinkHandle` design in `mak-obs`: the default handle is inert and
-/// every [`with`](TelemetryHandle::with) is a skipped branch, so emitters
-/// can carry one unconditionally at zero cost.
-#[derive(Clone, Default)]
-pub struct TelemetryHandle {
-    inner: Option<Arc<Mutex<MetricsRegistry>>>,
-}
-
-impl TelemetryHandle {
-    /// The inert handle: every update is a no-op.
-    pub fn none() -> Self {
-        TelemetryHandle { inner: None }
-    }
-
-    /// Wraps a fresh registry, returning the handle and the shared cell
-    /// for post-run inspection.
-    pub fn shared() -> (Self, Arc<Mutex<MetricsRegistry>>) {
-        let cell = Arc::new(Mutex::new(MetricsRegistry::new()));
-        (TelemetryHandle { inner: Some(cell.clone()) }, cell)
-    }
-
-    /// Whether a registry is attached.
-    pub fn is_active(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Runs `f` against the registry when one is attached; a single
-    /// branch otherwise. Tolerates a poisoned lock — telemetry from a
-    /// panicked neighbor must not cascade.
-    pub fn with<F: FnOnce(&mut MetricsRegistry)>(&self, f: F) {
-        if let Some(cell) = &self.inner {
-            let mut guard = match cell.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            f(&mut guard);
-        }
-    }
-}
-
-impl fmt::Debug for TelemetryHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(if self.is_active() {
-            "TelemetryHandle(active)"
-        } else {
-            "TelemetryHandle(inert)"
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -487,25 +433,5 @@ mod tests {
         assert_eq!(wall.families.len(), 1);
         assert_eq!(wall.families[0].name, "w");
         assert_eq!(reg.snapshot().families.len(), 2);
-    }
-
-    #[test]
-    fn inert_handle_skips_and_shared_handle_collects() {
-        let inert = TelemetryHandle::none();
-        assert!(!inert.is_active());
-        inert.with(|_| panic!("must not run"));
-
-        let (handle, cell) = TelemetryHandle::shared();
-        let clone = handle.clone();
-        std::thread::spawn(move || {
-            clone.with(|r| {
-                r.register_counter("hits", Domain::Virtual, "");
-                r.inc("hits", &[], 2);
-            });
-        })
-        .join()
-        .unwrap();
-        handle.with(|r| r.inc("hits", &[], 1));
-        assert_eq!(cell.lock().unwrap().counter_value("hits", &[]), 3.0);
     }
 }

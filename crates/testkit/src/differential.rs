@@ -15,7 +15,7 @@
 //!   their own app instances matches the sequential reports (no hidden
 //!   shared state, no iteration-order leaks).
 //! - **cached ≡ fresh** — a report saved through the
-//!   [`RunStore`](mak_metrics::store::RunStore) and loaded back is
+//!   [`RunStore`] and loaded back is
 //!   field-for-field identical to the fresh one.
 //!
 //! Reports are compared through their canonical JSON serialization so a

@@ -5,7 +5,7 @@
 //! [`InvariantOracle`](crate::oracle::InvariantOracle), and cross-checks
 //! the differential oracles (rerun ≡ first, parallel ≡ sequential,
 //! cached ≡ fresh). Any failure is shrunk by
-//! [`shrink`](crate::shrink::shrink) and written to disk as a
+//! [`shrink`] and written to disk as a
 //! [`FailureArtifact`] — a self-contained JSON file that
 //! [`replay`] (and `mak-cli fuzz --replay <file>`) can re-execute later.
 //!

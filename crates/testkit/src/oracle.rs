@@ -84,11 +84,6 @@ impl InvariantOracle {
         &self.violations
     }
 
-    /// Consumes the oracle, returning its violations.
-    pub fn into_violations(self) -> Vec<Violation> {
-        self.violations
-    }
-
     fn fail(&mut self, invariant: &str, details: String) {
         if self.violations.len() < MAX_VIOLATIONS {
             self.violations.push(Violation {

@@ -116,7 +116,6 @@ pub struct ModuleSpec {
     kind: ModuleKind,
     pages: usize,
     lines_per_page: u32,
-    in_nav: bool,
     labels: Vec<String>,
 }
 
@@ -134,22 +133,7 @@ impl ModuleSpec {
         lines_per_page: u32,
     ) -> Self {
         assert!(pages > 0, "modules must have at least one page");
-        ModuleSpec {
-            name: name.into(),
-            kind,
-            pages,
-            lines_per_page,
-            in_nav: true,
-            labels: Vec::new(),
-        }
-    }
-
-    /// Removes the module entry from the global navigation bar; it is then
-    /// only reachable through cross-links.
-    #[must_use]
-    pub fn hidden_from_nav(mut self) -> Self {
-        self.in_nav = false;
-        self
+        ModuleSpec { name: name.into(), kind, pages, lines_per_page, labels: Vec::new() }
     }
 
     /// Provides human-readable page labels (used as dispatch values and
@@ -796,9 +780,7 @@ impl Compiler {
 
         // Hook the module entry into the home page / navigation.
         self.pages[0].links.push(first_idx);
-        if spec.in_nav {
-            self.nav_entries.push(first_idx);
-        }
+        self.nav_entries.push(first_idx);
     }
 
     fn dispatch_params_with(&self, spec: &ModuleSpec) -> Vec<String> {

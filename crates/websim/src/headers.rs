@@ -1,11 +1,10 @@
 //! HTTP header wire formats.
 //!
-//! The simulator's [`Request`](crate::http::Request) and
-//! [`Response`](crate::http::Response) carry their session as a typed
-//! field; real traffic carries it in `Cookie` / `Set-Cookie` headers. This
-//! module provides the translation — what an HTTP recorder or proxy in
-//! front of the testbed would emit and parse — plus minimal header-block
-//! rendering for request/response logging.
+//! The simulator's [`Request`] and [`Response`] carry their session as a
+//! typed field; real traffic carries it in `Cookie` / `Set-Cookie`
+//! headers. This module provides the translation — what an HTTP recorder
+//! or proxy in front of the testbed would emit and parse — plus minimal
+//! header-block rendering for request/response logging.
 
 use crate::http::{Method, Request, Response, SessionId, Status};
 use std::fmt::Write as _;

@@ -39,13 +39,6 @@ impl<'a> RequestCtx<'a> {
     pub fn execute(&mut self, block: Block) {
         self.coverage.hit(block);
     }
-
-    /// Records execution of several blocks.
-    pub fn execute_all(&mut self, blocks: &[Block]) {
-        for b in blocks {
-            self.coverage.hit(*b);
-        }
-    }
 }
 
 /// A deterministic simulated web application.
