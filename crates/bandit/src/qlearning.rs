@@ -161,12 +161,7 @@ impl QTable {
     /// Index of the maximum-Q action (QExplore's deterministic
     /// `CHOOSE_ACTION`); first index wins ties. `None` for an empty set.
     pub fn best_action(&self, state: u64, actions: &[u64]) -> Option<usize> {
-        let values = self.values_for(state, actions);
-        values
-            .iter()
-            .enumerate()
-            .max_by(|(ia, a), (ib, b)| a.partial_cmp(b).unwrap().then(ib.cmp(ia)))
-            .map(|(i, _)| i)
+        argmax(&self.values_for(state, actions))
     }
 
     /// Number of distinct states ever touched by an update — the state-table
@@ -179,6 +174,23 @@ impl QTable {
     pub fn entry_count(&self) -> usize {
         self.q.len()
     }
+}
+
+/// Index of the maximum of `values`, first index winning ties — the
+/// arg-max of [`QTable::best_action`] over values already computed.
+/// `None` for an empty slice.
+///
+/// # Panics
+///
+/// Panics if a value is NaN.
+pub fn argmax(values: &[f64]) -> Option<usize> {
+    values
+        .iter()
+        .enumerate()
+        .max_by(|(ia, a), (ib, b)| {
+            a.partial_cmp(b).expect("Q-values are never NaN").then(ib.cmp(ia))
+        })
+        .map(|(i, _)| i)
 }
 
 #[cfg(test)]

@@ -115,6 +115,21 @@ impl Page {
         self.shared.interactables().iter().filter(move |i| i.target_url().same_origin(origin))
     }
 
+    /// [`valid_interactables`](Self::valid_interactables) paired with
+    /// their [`signature_hash`](Interactable::signature_hash)es, which
+    /// the shared derivations compute once per document.
+    pub fn valid_actions<'a>(
+        &'a self,
+        origin: &'a Url,
+    ) -> impl Iterator<Item = (&'a Interactable, u64)> {
+        let keys = self.shared.signature_hashes();
+        self.shared
+            .interactables()
+            .iter()
+            .zip(keys.iter().copied())
+            .filter(move |(i, _)| i.target_url().same_origin(origin))
+    }
+
     /// Whether the page is a navigation error (non-2xx).
     pub fn is_error(&self) -> bool {
         !matches!(self.status, Status::Ok)

@@ -15,7 +15,7 @@ use crate::framework::checkpoint::{CrawlerState, QState, StateTable};
 use crate::framework::crawler::{CrawlEnd, Crawler, StepReport};
 use crate::framework::linklog::LinkLog;
 use mak_bandit::gumbel::gumbel_softmax_sample;
-use mak_bandit::qlearning::QTable;
+use mak_bandit::qlearning::{argmax, QTable};
 use mak_browser::client::{BrowseError, Browser, RngWords};
 use mak_browser::cost::CostModel;
 use mak_browser::page::Page;
@@ -205,11 +205,11 @@ impl<S: StateAbstraction> Crawler for QCrawler<S> {
             state = s;
             page = p;
         }
-        let actions: Vec<&Interactable> = page.valid_interactables(&origin).collect();
+        let actions: Vec<(&Interactable, u64)> = page.valid_actions(&origin).collect();
         if actions.is_empty() {
             return Err(CrawlEnd::Stuck);
         }
-        let action_keys: Vec<u64> = actions.iter().map(|a| a.signature_hash()).collect();
+        let action_keys: Vec<u64> = actions.iter().map(|&(_, key)| key).collect();
 
         // CHOOSE_ACTION.
         let values = self.q.values_for(state, &action_keys);
@@ -217,12 +217,9 @@ impl<S: StateAbstraction> Crawler for QCrawler<S> {
             ActionSelection::GumbelSoftmax { temperature } => {
                 gumbel_softmax_sample(&mut self.rng, &values, temperature)
             }
-            ActionSelection::MaxQ => {
-                self.q.best_action(state, &action_keys).expect("non-empty actions")
-            }
+            ActionSelection::MaxQ => argmax(&values).expect("non-empty actions"),
         };
-        let chosen = actions[idx];
-        let chosen_key = action_keys[idx];
+        let (chosen, chosen_key) = actions[idx];
 
         // EXECUTE.
         let next_page = match browser.execute(chosen) {
@@ -255,8 +252,7 @@ impl<S: StateAbstraction> Crawler for QCrawler<S> {
         // GET_STATE (s') and GET_REWARD: curiosity over (s, a) visits.
         self.links.absorb_page(&next_page, &origin);
         let next_state = self.states.state_of(&next_page);
-        let next_actions: Vec<u64> =
-            next_page.valid_interactables(&origin).map(Interactable::signature_hash).collect();
+        let next_actions: Vec<u64> = next_page.valid_actions(&origin).map(|(_, key)| key).collect();
         let visits = self.visit_counts.entry((state, chosen_key)).or_insert(0);
         *visits += 1;
         let reward = self.curiosity.value(*visits);

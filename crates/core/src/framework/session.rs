@@ -544,15 +544,18 @@ impl<'c> Session<'c> {
         let phase = *self.browser.phase_totals();
         let host = self.browser.finish();
         let tracker = host.tracker();
-        let covered_lines: Vec<(u32, u32)> =
-            tracker.covered_lines().map(|(f, l)| (f.index(), l)).collect();
+        let final_lines_covered = tracker.lines_covered_unchecked();
+        // Sized exactly: finished reports are retained, so growth slack
+        // would be held for as long as the report is.
+        let mut covered_lines = Vec::with_capacity(final_lines_covered as usize);
+        covered_lines.extend(tracker.covered_lines().map(|(f, l)| (f.index(), l)));
 
         CrawlReport {
             crawler: self.crawler.get_ref().name().to_owned(),
             app: self.app_name,
             seed: self.seed,
             interactions,
-            final_lines_covered: tracker.lines_covered_unchecked(),
+            final_lines_covered,
             total_declared_lines: self.total_declared_lines,
             coverage_series: self.series,
             covered_lines,
@@ -600,6 +603,7 @@ mod tests {
         }
         assert!(session.is_finished());
         let stepped = session.finish();
+        assert_eq!(stepped.covered_lines.capacity(), stepped.covered_lines.len());
 
         let mut crawler = build_crawler("mak", 3).unwrap();
         let oneshot = run_crawl(&mut *crawler, apps::build("addressbook").unwrap(), &cfg, 3);
@@ -650,7 +654,10 @@ mod tests {
         // report is byte-identical to never having stopped. Exercised for
         // all six registry crawlers plus the ensemble extension, with
         // traces recorded so per-step actions and rewards are compared too.
-        let mut cfg = EngineConfig::with_budget_minutes(1.0);
+        // The later points lie deep in a paper-length run, where most
+        // fetches revisit cached pages the crawler has absorbed before — a
+        // memo no checkpoint carries.
+        let mut cfg = EngineConfig::with_budget_minutes(30.0);
         cfg.record_trace = true;
         for crawler in ["mak", "webexplor", "qexplore", "bfs", "dfs", "random", "mak-ensemble2"] {
             let seed = 11;
@@ -669,29 +676,34 @@ mod tests {
                 &cfg,
                 seed,
             );
-            for _ in 0..7 {
-                assert!(session.step().is_running(), "{crawler} ended too early");
+            for point in [7, 250, 500, 700] {
+                while session.steps_taken() < point {
+                    assert!(session.step().is_running(), "{crawler} ended too early");
+                }
+                let checkpoint = session.snapshot().unwrap();
+
+                // Round-trip through JSON: what the serving layer writes to
+                // disk is what a restore actually sees.
+                let json = serde_json::to_string(&checkpoint).unwrap();
+                let back: SessionCheckpoint =
+                    serde_json::from_str(&json).unwrap_or_else(|e| panic!("{crawler}: {e}"));
+                let again = serde_json::to_string(&back).unwrap();
+                assert_eq!(again, json, "{crawler} checkpoint JSON round-trip");
+
+                let restored = Session::restore(
+                    app.clone(),
+                    build_crawler(crawler, seed).unwrap(),
+                    &back,
+                    SinkHandle::none(),
+                )
+                .unwrap_or_else(|e| panic!("{crawler}: {e}"));
+                assert_eq!(restored.steps_taken(), point);
+                assert_eq!(
+                    restored.finish(),
+                    uninterrupted,
+                    "{crawler} diverged after a restore at step {point}"
+                );
             }
-            let checkpoint = session.snapshot().unwrap();
-            drop(session);
-
-            // Round-trip through JSON: what the serving layer writes to
-            // disk is what a restore actually sees.
-            let json = serde_json::to_string(&checkpoint).unwrap();
-            let back: SessionCheckpoint =
-                serde_json::from_str(&json).unwrap_or_else(|e| panic!("{crawler}: {e}"));
-            let again = serde_json::to_string(&back).unwrap();
-            assert_eq!(again, json, "{crawler} checkpoint JSON round-trip");
-
-            let restored = Session::restore(
-                app,
-                build_crawler(crawler, seed).unwrap(),
-                &back,
-                SinkHandle::none(),
-            )
-            .unwrap_or_else(|e| panic!("{crawler}: {e}"));
-            assert_eq!(restored.steps_taken(), 7);
-            assert_eq!(restored.finish(), uninterrupted, "{crawler} diverged after restore");
         }
     }
 

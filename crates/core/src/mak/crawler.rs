@@ -10,6 +10,7 @@ use mak_browser::client::{BrowseError, Browser, RngWords};
 use mak_browser::page::Page;
 use mak_obs::event::Event;
 use mak_obs::sink::SinkHandle;
+use mak_websim::url::Url;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::borrow::Cow;
@@ -135,17 +136,6 @@ impl MakCrawler {
         &mut self.policy
     }
 
-    /// Absorbs a fetched page: counts new URLs (the raw reward increment)
-    /// and enqueues newly discovered same-origin elements at level 0.
-    fn ingest(&mut self, page: &Page, browser: &Browser) -> u64 {
-        let origin = browser.origin();
-        let increment = self.links.absorb_page(page, origin);
-        for el in page.valid_interactables(origin) {
-            self.deque.push_new(el);
-        }
-        increment
-    }
-
     /// Opens the seed page if not yet started. `Ok(false)` means a
     /// transient fault spoiled the seed fetch: the failed attempt's time
     /// is already charged, and the next step retries.
@@ -165,7 +155,7 @@ impl MakCrawler {
         };
         // The seed page's links seed both the pool and the link log; they
         // predate any action, so no reward is granted for them.
-        self.ingest(&page, browser);
+        ingest(&mut self.links, &mut self.deque, &page, browser.origin());
         self.started = true;
         Ok(true)
     }
@@ -177,6 +167,26 @@ impl MakCrawler {
             RewardKind::Curiosity => 1.0 / (level as f64 + 1.0),
         }
     }
+}
+
+/// Absorbs a fetched page into a MAK-family crawler: counts new URLs (the
+/// raw reward increment) and enqueues newly discovered same-origin elements
+/// at level 0. On a revisit of a render-cached page the element loop is
+/// skipped: the first visit already offered every element to `deque`,
+/// whose dedup set only grows, so each push would be a no-op.
+pub(crate) fn ingest(
+    links: &mut LinkLog,
+    deque: &mut LeveledDeque,
+    page: &Page,
+    origin: &Url,
+) -> u64 {
+    let absorbed = links.absorb_page(page, origin);
+    if !absorbed.revisit {
+        for el in page.valid_interactables(origin) {
+            deque.push_new(el);
+        }
+    }
+    absorbed.new_urls
 }
 
 impl Crawler for MakCrawler {
@@ -239,7 +249,7 @@ impl Crawler for MakCrawler {
             }
         };
 
-        let increment = self.ingest(&page, browser);
+        let increment = ingest(&mut self.links, &mut self.deque, &page, browser.origin());
         let reward = self.compute_reward(increment, level);
         if self.fixed_arm.is_none() {
             self.policy.update(arm.index(), reward);

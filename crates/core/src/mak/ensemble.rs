@@ -12,12 +12,12 @@
 use crate::framework::checkpoint::{CrawlerState, EnsembleState};
 use crate::framework::crawler::{CrawlEnd, Crawler, StepReport};
 use crate::framework::linklog::LinkLog;
+use crate::mak::crawler::ingest;
 use crate::mak::deque::{Arm, LeveledDeque};
 use mak_bandit::exp31::Exp31;
 use mak_bandit::normalize::StandardizedReward;
 use mak_bandit::policy::BanditPolicy;
 use mak_browser::client::{BrowseError, Browser, RngWords};
-use mak_browser::page::Page;
 use mak_obs::event::Event;
 use mak_obs::sink::SinkHandle;
 use rand::rngs::StdRng;
@@ -72,15 +72,6 @@ impl EnsembleCrawler {
     pub fn agent_probabilities(&self, i: usize) -> Vec<f64> {
         self.policies[i].probabilities()
     }
-
-    fn ingest(&mut self, page: &Page, browser: &Browser) -> u64 {
-        let origin = browser.origin();
-        let increment = self.links.absorb_page(page, origin);
-        for el in page.valid_interactables(origin) {
-            self.deque.push_new(el);
-        }
-        increment
-    }
 }
 
 impl Crawler for EnsembleCrawler {
@@ -104,7 +95,7 @@ impl Crawler for EnsembleCrawler {
                     return Ok(StepReport { action: Cow::Borrowed("SeedRetry"), reward: None });
                 }
             };
-            self.ingest(&page, browser);
+            ingest(&mut self.links, &mut self.deque, &page, browser.origin());
             self.started = true;
         }
 
@@ -145,7 +136,7 @@ impl Crawler for EnsembleCrawler {
             }
         };
 
-        let increment = self.ingest(&page, browser);
+        let increment = ingest(&mut self.links, &mut self.deque, &page, browser.origin());
         // Each agent standardizes against its *own* reward history — its
         // private sense of what a good step looks like.
         let reward = self.rewards[agent].transform(increment as f64);

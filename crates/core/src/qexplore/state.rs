@@ -3,7 +3,6 @@
 use crate::framework::checkpoint::StateTable;
 use crate::framework::qcrawler::StateAbstraction;
 use mak_browser::page::Page;
-use mak_websim::util::hash_str;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -19,10 +18,6 @@ use std::collections::HashMap;
 #[serde(into = "Vec<(u64, u64)>", try_from = "Vec<(u64, u64)>")]
 pub struct QExploreState {
     by_hash: HashMap<u64, u64>,
-    /// Reusable representation buffer: the abstraction re-serializes every
-    /// interactable on every step, so the buffer is cleared and refilled
-    /// instead of reallocated (same bytes, same hash).
-    repr: String,
 }
 
 impl QExploreState {
@@ -55,18 +50,15 @@ impl TryFrom<Vec<(u64, u64)>> for QExploreState {
         if by_hash.len() != ids.len() {
             return Err("duplicate hash in QExplore state table");
         }
-        Ok(QExploreState { by_hash, repr: String::new() })
+        Ok(QExploreState { by_hash })
     }
 }
 
 impl StateAbstraction for QExploreState {
     fn state_of(&mut self, page: &Page) -> u64 {
-        self.repr.clear();
-        for el in page.interactables() {
-            el.write_attribute_values(&mut self.repr);
-            self.repr.push('\n');
-        }
-        let hash = hash_str(&self.repr);
+        // Memoized on the page's derivations: a render-cached page is
+        // hashed once, not on every visit.
+        let hash = page.shared().attribute_hash();
         let next_id = self.by_hash.len() as u64;
         *self.by_hash.entry(hash).or_insert(next_id)
     }

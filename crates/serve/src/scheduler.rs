@@ -342,20 +342,27 @@ fn worker(pool: &Pool, me: usize) -> StepLatencies {
     latencies
 }
 
+/// Why the task queues' locks cannot be poisoned: only deque pushes and
+/// pops run while one is held; sessions step outside them, under
+/// `catch_unwind`.
+const QUEUE_UNPOISONED: &str = "no code that can panic runs under a task-queue lock";
+
 /// Pops the next task: local deque first, then an injector batch, then
 /// stealing half of the fullest sibling deque.
 fn next_task(pool: &Pool, me: usize, rng: &mut Option<StdRng>) -> Option<SessionTask> {
-    if let Some(task) = pop_ordered(&mut pool.locals[me].lock().unwrap(), pool.order, rng) {
+    if let Some(task) =
+        pop_ordered(&mut pool.locals[me].lock().expect(QUEUE_UNPOISONED), pool.order, rng)
+    {
         return Some(task);
     }
     {
-        let mut injector = pool.injector.lock().unwrap();
+        let mut injector = pool.injector.lock().expect(QUEUE_UNPOISONED);
         if !injector.is_empty() {
             pool.note_depth(injector.len());
             // Grab a batch proportional to our share of the backlog so a
             // hundred thousand submissions do not serialize on this lock.
             let batch = (injector.len() / pool.locals.len()).clamp(1, 4096);
-            let mut local = pool.locals[me].lock().unwrap();
+            let mut local = pool.locals[me].lock().expect(QUEUE_UNPOISONED);
             for _ in 0..batch {
                 match injector.pop_front() {
                     Some(task) => local.push_back(task),
@@ -371,7 +378,7 @@ fn next_task(pool: &Pool, me: usize, rng: &mut Option<StdRng>) -> Option<Session
     let n = pool.locals.len();
     for offset in 1..n {
         let victim = (me + offset) % n;
-        let mut their = pool.locals[victim].lock().unwrap();
+        let mut their = pool.locals[victim].lock().expect(QUEUE_UNPOISONED);
         let len = their.len();
         if len == 0 {
             continue;
@@ -379,7 +386,7 @@ fn next_task(pool: &Pool, me: usize, rng: &mut Option<StdRng>) -> Option<Session
         pool.note_depth(len);
         pool.steals.fetch_add(1, Ordering::Relaxed);
         let take = len.div_ceil(2);
-        let mut local = pool.locals[me].lock().unwrap();
+        let mut local = pool.locals[me].lock().expect(QUEUE_UNPOISONED);
         for _ in 0..take {
             if let Some(task) = their.pop_front() {
                 local.push_back(task);
@@ -423,7 +430,7 @@ fn run_slice(pool: &Pool, me: usize, mut task: SessionTask, latencies: &mut Step
         Some(limit) => {
             let done = pool.steps_done.load(Ordering::Relaxed);
             if done >= limit {
-                pool.locals[me].lock().unwrap().push_back(task);
+                pool.locals[me].lock().expect(QUEUE_UNPOISONED).push_back(task);
                 return;
             }
             (pool.steps_per_slice as u64).min(limit - done) as usize
@@ -497,7 +504,7 @@ fn run_slice(pool: &Pool, me: usize, mut task: SessionTask, latencies: &mut Step
                 }
             }
         }
-        pool.locals[me].lock().unwrap().push_back(task);
+        pool.locals[me].lock().expect(QUEUE_UNPOISONED).push_back(task);
     }
 }
 

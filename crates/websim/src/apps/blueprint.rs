@@ -906,6 +906,13 @@ impl BlueprintApp {
         body.child(list)
     }
 
+    /// The render-cached document of static page `idx`, as
+    /// [`Self::render_page`] caches it.
+    fn static_document(&self, idx: usize) -> Document {
+        Document::new(self.page_url(idx), self.pages[idx].title.clone(), self.build_body(idx))
+            .with_shared_cache()
+    }
+
     fn render_page(&self, idx: usize, req: &Request, ctx: &mut RequestCtx<'_>) -> Response {
         let page = &self.pages[idx];
         // Access control runs before the page's own code: unauthenticated
@@ -923,10 +930,7 @@ impl BlueprintApp {
 
         let Some(widget) = &page.widget else {
             // Static page: render once, re-serve under the request URL.
-            let proto = self.render_cache[idx].get_or_init(|| {
-                Document::new(self.page_url(idx), page.title.clone(), self.build_body(idx))
-                    .with_shared_cache()
-            });
+            let proto = self.render_cache[idx].get_or_init(|| self.static_document(idx));
             return Response::html(proto.reissue(req.url.clone()));
         };
         let prefix = self.widget_body_cache[idx].get_or_init(|| self.build_body(idx)).clone();
@@ -1482,6 +1486,42 @@ mod tests {
             .module(ModuleSpec::new("a", ModuleKind::Hub, 2, 10))
             .module(ModuleSpec::new("a", ModuleKind::Chain, 2, 10))
             .build();
+    }
+
+    #[test]
+    fn cached_pages_memoize_the_keys_crawlers_derive() {
+        use crate::apps;
+        use crate::util::hash_str;
+        let models = [
+            apps::addressbook(),
+            apps::drupal(),
+            apps::hotcrp(),
+            apps::matomo(),
+            apps::oscommerce2(),
+            apps::phpbb2(),
+            apps::vanilla(),
+            apps::wordpress(),
+            apps::actual(),
+            apps::docmost(),
+            apps::retroboard(),
+        ];
+        assert_eq!(models.len(), apps::all_names().len());
+        for app in &models {
+            let mut checked = 0;
+            for idx in (0..app.pages.len()).filter(|&i| app.pages[i].widget.is_none()) {
+                let shared = app.static_document(idx).shared_cache();
+                assert!(shared.is_render_cached());
+                let els = shared.interactables();
+                let hashes: Vec<u64> = els.iter().map(Interactable::signature_hash).collect();
+                assert_eq!(shared.signature_hashes(), hashes.as_slice(), "{} page {idx}", app.name);
+                // The string QExplore's state abstraction used to build
+                // and hash on every step.
+                let repr: String = els.iter().map(|el| el.attribute_values() + "\n").collect();
+                assert_eq!(shared.attribute_hash(), hash_str(&repr), "{} page {idx}", app.name);
+                checked += 1;
+            }
+            assert!(checked > 0, "{} has static pages", app.name);
+        }
     }
 
     fn gated() -> BlueprintApp {

@@ -320,14 +320,17 @@ impl CoverageTracker {
     /// ground-truth estimation (§V-B).
     pub fn covered_lines(&self) -> impl Iterator<Item = (FileId, u32)> + '_ {
         self.hits.iter().enumerate().flat_map(|(fi, mask)| {
-            mask.iter().enumerate().flat_map(move |(wi, word)| {
-                let word = *word;
-                (0..64u32).filter_map(move |b| {
-                    if word & (1u64 << b) != 0 {
-                        Some((FileId(fi as u32), wi as u32 * 64 + b + 1))
-                    } else {
-                        None
+            mask.iter().enumerate().flat_map(move |(wi, &word)| {
+                // Visit set bits only, lowest first: one iteration per
+                // covered line instead of 64 per word.
+                let mut rest = word;
+                std::iter::from_fn(move || {
+                    if rest == 0 {
+                        return None;
                     }
+                    let b = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    Some((FileId(fi as u32), wi as u32 * 64 + b + 1))
                 })
             })
         })
@@ -412,6 +415,40 @@ mod tests {
         t.hit(Block { file: b, start: 1, end: 1 });
         let lines: Vec<_> = t.covered_lines().collect();
         assert_eq!(lines, vec![(a, 64), (a, 65), (a, 66), (b, 1)]);
+    }
+
+    #[test]
+    fn covered_lines_walk_set_bits_across_word_boundaries() {
+        let mut m = CodeModel::new();
+        let edges = m.declare_file("edges", 200);
+        let full = m.declare_file("full", 128);
+        let empty = m.declare_file("empty", 70);
+        let mut t = CoverageTracker::new(&m, CoverageMode::Live);
+        for line in [1, 63, 64, 65, 128, 129, 200] {
+            t.hit(Block { file: edges, start: line, end: line });
+        }
+        t.hit(Block { file: full, start: 65, end: 128 });
+        // The per-bit scan this walk replaced, as the reference order.
+        let reference: Vec<(FileId, u32)> = t
+            .hits
+            .iter()
+            .enumerate()
+            .flat_map(|(fi, mask)| {
+                mask.iter().enumerate().flat_map(move |(wi, &word)| {
+                    (0..64u32)
+                        .filter(move |b| word & (1u64 << b) != 0)
+                        .map(move |b| (FileId(fi as u32), wi as u32 * 64 + b + 1))
+                })
+            })
+            .collect();
+        let mut lines = Vec::with_capacity(t.lines_covered_unchecked() as usize);
+        lines.extend(t.covered_lines());
+        assert_eq!(lines, reference);
+        assert_eq!(lines.len(), 7 + 64);
+        assert_eq!(lines.capacity(), lines.len(), "the covered count sizes the list exactly");
+        assert_eq!(lines[..4], [(edges, 1), (edges, 63), (edges, 64), (edges, 65)]);
+        assert_eq!(lines[7], (full, 65));
+        assert!(lines.iter().all(|&(f, _)| f != empty));
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //! the abstractions can be computed the way the original tools compute them.
 
 use crate::url::Url;
+use crate::util::{fnv_fold, mix64, FNV_OFFSET};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// HTML tag names used by the simulated applications.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -269,7 +271,6 @@ impl Interactable {
     /// (verified by a unit test below — the action keys in recorded
     /// crawl artifacts depend on this equivalence).
     pub fn signature_hash(&self) -> u64 {
-        use crate::util::{fnv_fold, mix64, FNV_OFFSET};
         let h = match self {
             Interactable::Link { href, .. } => {
                 fnv_fold(fnv_fold(FNV_OFFSET, b"link:"), href.normalized().as_bytes())
@@ -296,10 +297,10 @@ impl Interactable {
         out
     }
 
-    /// Appends [`attribute_values`](Self::attribute_values) to `out` — the
-    /// reusable-buffer form used when building per-page state strings.
-    pub fn write_attribute_values(&self, out: &mut String) {
-        use std::fmt::Write as _;
+    /// Writes [`attribute_values`](Self::attribute_values) to `out` — into
+    /// a reusable buffer, or straight into a hasher such as the one behind
+    /// [`DocShared::attribute_hash`].
+    pub fn write_attribute_values(&self, out: &mut impl fmt::Write) {
         match self {
             Interactable::Link { href, text } => {
                 let _ = write!(out, "{href} {text}");
@@ -310,8 +311,8 @@ impl Interactable {
             Interactable::Form(form) => {
                 let _ = write!(out, "{} {}", form.name, form.action);
                 for f in &form.fields {
-                    out.push(' ');
-                    out.push_str(&f.name);
+                    let _ = out.write_char(' ');
+                    let _ = out.write_str(&f.name);
                 }
             }
         }
@@ -328,26 +329,42 @@ impl Interactable {
 }
 
 /// Derivations of one DOM tree that every consumer of the page recomputes
-/// otherwise: the extracted interactables and the pre-order tag sequence.
+/// otherwise: the extracted interactables, the pre-order tag sequence, and
+/// — filled on first use — the crawlers' per-element and per-page keys.
 /// Shared (via `Arc`) between a cached document and every page served from
-/// it, so re-serving a static page costs no tree walk.
+/// it, so re-serving a static page costs no tree walk and re-visiting it
+/// no re-hashing.
 #[derive(Debug)]
 pub struct DocShared {
     interactables: Vec<Interactable>,
     tags: Vec<Tag>,
+    render_cached: bool,
+    signature_hashes: OnceLock<Vec<u64>>,
+    attribute_hash: OnceLock<u64>,
 }
 
 impl DocShared {
+    fn new(interactables: Vec<Interactable>, tags: Vec<Tag>, render_cached: bool) -> Self {
+        DocShared {
+            interactables,
+            tags,
+            render_cached,
+            signature_hashes: OnceLock::new(),
+            attribute_hash: OnceLock::new(),
+        }
+    }
+
     /// The shared derivations of a body-less page: no elements, no tags.
     pub fn empty() -> Self {
-        DocShared { interactables: Vec::new(), tags: Vec::new() }
+        DocShared::new(Vec::new(), Vec::new(), false)
     }
 
     /// Rebuilds the derivations from checkpointed parts. Restored pages
     /// carry no DOM tree — only these derivations, which are the sole page
-    /// observables the crawlers consume mid-run.
+    /// observables the crawlers consume mid-run. The memoized keys are
+    /// recomputed on first use.
     pub fn from_parts(interactables: Vec<Interactable>, tags: Vec<Tag>) -> Self {
-        DocShared { interactables, tags }
+        DocShared::new(interactables, tags, false)
     }
 
     /// The extracted interactable elements, in document order.
@@ -358,6 +375,47 @@ impl DocShared {
     /// The pre-order tag sequence.
     pub fn tags(&self) -> &[Tag] {
         &self.tags
+    }
+
+    /// Whether these derivations belong to a render-cached document
+    /// ([`Document::with_shared_cache`]): the same `Arc` comes back on
+    /// every page served from it, so its identity names the element list.
+    /// Fresh, body-less and restored derivations are never render-cached.
+    pub fn is_render_cached(&self) -> bool {
+        self.render_cached
+    }
+
+    /// [`Interactable::signature_hash`] of every interactable, in document
+    /// order — the Q-crawlers' action keys. Computed on first use.
+    pub fn signature_hashes(&self) -> &[u64] {
+        self.signature_hashes
+            .get_or_init(|| self.interactables.iter().map(Interactable::signature_hash).collect())
+    }
+
+    /// `hash_str` of every interactable's
+    /// [`attribute_values`](Interactable::attribute_values), each followed
+    /// by a newline — QExplore's state key (§III-A). Streamed through the
+    /// hash without building the string; computed on first use.
+    pub fn attribute_hash(&self) -> u64 {
+        *self.attribute_hash.get_or_init(|| {
+            let mut hasher = FnvWriter(FNV_OFFSET);
+            for el in &self.interactables {
+                el.write_attribute_values(&mut hasher);
+                hasher.0 = fnv_fold(hasher.0, b"\n");
+            }
+            mix64(hasher.0)
+        })
+    }
+}
+
+/// An FNV-1a accumulator fed through `fmt::Write`, so formatted text can be
+/// hashed without materializing it ([`fnv_fold`] is chunking-invariant).
+struct FnvWriter(u64);
+
+impl fmt::Write for FnvWriter {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 = fnv_fold(self.0, s.as_bytes());
+        Ok(())
     }
 }
 
@@ -400,7 +458,7 @@ impl Document {
     /// reuses them instead of re-walking the tree.
     #[must_use]
     pub fn with_shared_cache(mut self) -> Self {
-        let shared = DocShared { interactables: self.interactables(), tags: self.tag_sequence() };
+        let shared = DocShared::new(self.interactables(), self.tag_sequence(), true);
         self.shared = Some(std::sync::Arc::new(shared));
         self
     }
@@ -409,10 +467,11 @@ impl Document {
     pub fn shared_cache(&self) -> std::sync::Arc<DocShared> {
         match &self.shared {
             Some(s) => std::sync::Arc::clone(s),
-            None => std::sync::Arc::new(DocShared {
-                interactables: self.interactables(),
-                tags: self.tag_sequence(),
-            }),
+            None => std::sync::Arc::new(DocShared::new(
+                self.interactables(),
+                self.tag_sequence(),
+                false,
+            )),
         }
     }
 
@@ -805,6 +864,10 @@ mod tests {
         assert_eq!(reissued.shared_cache().tags(), built.tag_sequence().as_slice());
         // A document reissued under its own URL is indistinguishable.
         assert_eq!(built.reissue(built.url().clone()), built);
+        // Only the render cache's derivations are marked as such.
+        assert!(reissued.shared_cache().is_render_cached());
+        assert!(!doc(Element::new(Tag::Body)).shared_cache().is_render_cached());
+        assert!(!DocShared::from_parts(Vec::new(), Vec::new()).is_render_cached());
     }
 
     #[test]
