@@ -21,7 +21,8 @@
 //!
 //! - `MAK_SEEDS` — repetitions per (app, crawler) pair (default 10, §V-A.4);
 //! - `MAK_BUDGET_MINUTES` — virtual budget per run (default 30, §V-A.4);
-//! - `MAK_THREADS` — worker threads (default: available parallelism);
+//! - `MAK_THREADS` — worker threads (default, and for `0`: available
+//!   parallelism);
 //! - `MAK_CACHE` — run cache mode, `rw` (default) / `ro` / `off`; cached
 //!   cells live under `results/cache/` (see [`mak_metrics::store`]) and
 //!   make re-invocations incremental — the second run of any binary only
@@ -51,13 +52,9 @@ pub fn budget_minutes() -> f64 {
     std::env::var("MAK_BUDGET_MINUTES").ok().and_then(|s| s.parse().ok()).unwrap_or(30.0)
 }
 
-/// Worker threads, from `MAK_THREADS` (default: available parallelism).
-pub fn threads() -> usize {
-    std::env::var("MAK_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4))
-}
+/// Worker threads, from `MAK_THREADS` (default, and for `0`: available
+/// parallelism) — the same reading the crawl service makes.
+pub use mak_serve::threads_from_env as threads;
 
 /// The engine configuration implied by the environment.
 pub fn engine_config() -> EngineConfig {

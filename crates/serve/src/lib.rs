@@ -77,6 +77,7 @@ pub use error::SubmitError;
 pub use metrics::ServiceMetrics;
 pub use scheduler::{Checkpoint, ScheduleOrder, StepLatencies};
 pub use service::{
-    CompletedSession, CrawlService, RecoveryReport, ServiceConfig, SessionId, SessionSpec,
+    threads_from_env, CompletedSession, CrawlService, RecoveryReport, ServiceConfig, SessionId,
+    SessionSpec,
 };
 pub use tenant::{TenantLedger, TenantQuota};

@@ -15,8 +15,10 @@
 //!
 //! The fold is per-session and per-drain, never per-step: a session
 //! contributes a handful of `BTreeMap` updates after running thousands
-//! of virtual-clock steps, which is what keeps metrics-on throughput
-//! within noise of metrics-off ([`ServiceConfig::collect_metrics`]).
+//! of virtual-clock steps. It only observes: switching it off
+//! ([`ServiceConfig::collect_metrics`]) leaves the registry empty and
+//! every session's report unchanged
+//! (`tests/telemetry.rs::metrics_can_be_disabled_without_changing_outcomes`).
 //!
 //! [`ServiceConfig::collect_metrics`]: crate::ServiceConfig::collect_metrics
 

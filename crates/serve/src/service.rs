@@ -30,6 +30,7 @@ use mak_websim::apps;
 use mak_websim::server::WebApp;
 use std::collections::BTreeMap;
 use std::io;
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -61,8 +62,8 @@ pub struct ServiceConfig {
     /// during drains (0 = off) — the load bench's time-series feed.
     pub checkpoint_every: u64,
     /// Fold session outcomes into the service's [`ServiceMetrics`]
-    /// registry. On by default; the load bench turns it off to measure
-    /// the cost of collection itself.
+    /// registry. On by default; off, the registry stays empty and
+    /// session outcomes are unchanged.
     pub collect_metrics: bool,
     /// Directory for durable session checkpoints (`None` = durability
     /// off). When set, sessions checkpoint every
@@ -77,14 +78,24 @@ pub struct ServiceConfig {
     pub checkpoint_every_steps: u64,
 }
 
+/// Worker threads from `MAK_THREADS`: a positive integer, or the
+/// machine's available parallelism when the variable is unset, `0` or
+/// unparsable. The one reading of the variable in the workspace.
+pub fn threads_from_env() -> usize {
+    parse_threads(std::env::var("MAK_THREADS").ok().as_deref())
+}
+
+fn parse_threads(value: Option<&str>) -> usize {
+    value
+        .and_then(|s| s.parse::<NonZeroUsize>().ok())
+        .or_else(|| std::thread::available_parallelism().ok())
+        .map_or(4, NonZeroUsize::get)
+}
+
 impl Default for ServiceConfig {
     fn default() -> Self {
-        let threads = std::env::var("MAK_THREADS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4));
         ServiceConfig {
-            threads,
+            threads: threads_from_env(),
             steps_per_slice: 64,
             default_quota: TenantQuota::default(),
             order: ScheduleOrder::RoundRobin,
@@ -623,6 +634,16 @@ mod tests {
     fn quick(seed: u64) -> SessionSpec {
         SessionSpec::new("t", "addressbook", "random", seed)
             .config(EngineConfig::with_budget_minutes(0.25))
+    }
+
+    #[test]
+    fn thread_count_is_positive_for_every_value() {
+        let fallback = parse_threads(None);
+        assert!(fallback >= 1);
+        assert_eq!(parse_threads(Some("3")), 3);
+        for bad in ["0", "-1", "", "eight", "2.5"] {
+            assert_eq!(parse_threads(Some(bad)), fallback, "MAK_THREADS={bad:?}");
+        }
     }
 
     #[test]

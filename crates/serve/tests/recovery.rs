@@ -190,8 +190,12 @@ fn hard_crash_recovers_from_cadence_checkpoints() {
     let recovery = revived.recover().unwrap();
     assert!(recovery.restored > 0, "200 steps across six sessions must cross the 16-step cadence");
     assert_eq!(recovery.corrupt_quarantined, 0);
+    // Admission-time checkpoints: a hard crash may lose progress, never a
+    // session — every one either finished before the crash or restores.
+    assert_eq!(early.len() as u64 + recovery.restored, workload("heavy").len() as u64);
     let late = revived.run_to_drain();
     assert_eq!(late.len() as u64, recovery.restored);
+    assert_eq!(revived.aborted(), 0);
     for c in early.iter().chain(&late) {
         let (truth_report, _) = &truth[&c.id];
         assert_eq!(&c.report, truth_report, "session {} diverged after hard crash", c.id);

@@ -48,7 +48,7 @@ fn drained_streams(threads: usize, order: ScheduleOrder) -> (Vec<Vec<u8>>, Strin
     (streams, service.metrics().virtual_snapshot().to_prometheus())
 }
 
-/// The acceptance criterion: span streams are byte-identical across
+/// The acceptance bar: span streams are byte-identical across
 /// `MAK_THREADS` ∈ {1, 4, 8} and all three `ScheduleOrder`s.
 #[test]
 fn span_streams_are_byte_identical_across_schedules() {

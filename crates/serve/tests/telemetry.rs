@@ -56,7 +56,7 @@ fn virtual_artifacts(threads: usize, order: ScheduleOrder) -> (String, String) {
     (snapshot.to_prometheus(), snapshot.to_json())
 }
 
-/// The acceptance criterion: virtual-domain snapshots — Prometheus text
+/// The acceptance bar: virtual-domain snapshots — Prometheus text
 /// and JSON alike — are byte-identical across `MAK_THREADS` ∈ {1, 4, 8}
 /// and all three `ScheduleOrder`s, rejections included.
 #[test]
@@ -98,8 +98,8 @@ fn virtual_counters_reconcile_with_session_reports() {
     assert_eq!(registry.counter_value("mak_serve_drains_total", &[]), 1.0);
 }
 
-/// `ServiceConfig::collect_metrics = false` folds nothing — the knob the
-/// load bench uses to price collection itself.
+/// `ServiceConfig::collect_metrics = false` folds nothing and changes no
+/// outcome.
 #[test]
 fn metrics_can_be_disabled_without_changing_outcomes() {
     let run = |collect_metrics: bool| {

@@ -31,6 +31,7 @@ use mak::spec::build_crawler;
 use mak_metrics::store::{CacheMode, RunStore};
 use mak_obs::sink::{SinkHandle, VecSink};
 use mak_obs::trace::first_divergence;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Runs one crawl under the event-level invariant oracle, returning both
 /// the report and any violations the oracle recorded.
@@ -251,8 +252,8 @@ pub fn check_snapshot_roundtrip(
 
 /// Checks that saving a fresh report through the run cache and loading it
 /// back yields a field-for-field identical report. Uses a private store
-/// rooted in a per-call temp directory; the directory is removed before
-/// returning.
+/// rooted in a per-call temp directory (unique even when concurrent calls
+/// check the same cell); the directory is removed before returning.
 pub fn check_cache_roundtrip(
     spec: &BlueprintSpec,
     crawler_name: &str,
@@ -260,9 +261,11 @@ pub fn check_cache_roundtrip(
     config: &EngineConfig,
     fresh: &CrawlReport,
 ) -> Result<(), Violation> {
+    static CALLS: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "mak-testkit-cache-{}-{}-{crawler_name}-{seed}",
+        "mak-testkit-cache-{}-{}-{}-{crawler_name}-{seed}",
         std::process::id(),
+        CALLS.fetch_add(1, Ordering::Relaxed),
         spec.name
     ));
     let store = RunStore::at(&dir, CacheMode::ReadWrite);
@@ -377,5 +380,26 @@ mod tests {
         let mut c = build_crawler("mak", 6).unwrap();
         let report = run_crawl(&mut *c, Box::new(spec.build()), &config, 6);
         check_cache_roundtrip(&spec, "mak", 6, &config, &report).unwrap_or_else(|v| panic!("{v}"));
+    }
+
+    /// Concurrent round trips of one cell (as parallel fuzz campaigns
+    /// make) must not share a cache directory: one call's cleanup would
+    /// delete the entry another call is about to load.
+    #[test]
+    fn concurrent_cache_roundtrips_of_one_cell_do_not_collide() {
+        let spec = BlueprintSpec::generate(13);
+        let config = small_config();
+        let mut c = build_crawler("mak", 6).unwrap();
+        let report = run_crawl(&mut *c, Box::new(spec.build()), &config, 6);
+        for _ in 0..25 {
+            std::thread::scope(|scope| {
+                for _ in 0..4 {
+                    scope.spawn(|| {
+                        check_cache_roundtrip(&spec, "mak", 6, &config, &report)
+                            .unwrap_or_else(|v| panic!("{v}"));
+                    });
+                }
+            });
+        }
     }
 }
